@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate clean
+.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate telemetry-budget clean
 
 all: build vet test
 
@@ -74,15 +74,16 @@ demo:
 
 # Regression gate: record a short deterministic run's artifact and
 # compare it against the committed baseline with hh-diff. Simulated
-# figures are seed-deterministic, so the tolerances below are already
-# generous; a FAIL means behavior changed — either fix the regression
-# or regenerate the baseline (same command as below with the output
-# path pointed at testdata/baselines/short-seed4.json) and review the
-# diff. The campaign's own exit status is ignored: 2 attempts rarely
-# escape, and the artifact is written on every exit path.
+# figures are seed-deterministic, so every figure — alerts and censuses
+# included — must match at zero tolerance; a FAIL means behavior
+# changed — either fix the regression or regenerate the baseline (same
+# command as below with the output path pointed at
+# testdata/baselines/short-seed4.json) and review the diff. The
+# campaign's own exit status is ignored: 2 attempts rarely escape, and
+# the artifact is written on every exit path.
 profile-gate: build
 	$(GO) run ./cmd/hyperhammer -short -attempts 2 -artifact run_artifact.json > /dev/null; test -s run_artifact.json
-	$(GO) run ./cmd/hh-diff -sim-tol 0.05 -count-tol 0.05 testdata/baselines/short-seed4.json run_artifact.json
+	$(GO) run ./cmd/hh-diff -sim-tol 0 -count-tol 0 testdata/baselines/short-seed4.json run_artifact.json
 
 # Parallel-determinism gate: the full short evaluation run twice, at
 # -parallel 1 and -parallel 4, must produce byte-identical stdout and
@@ -123,18 +124,20 @@ history-gate:
 	rm -rf history_store history_drift.txt
 	@echo "history-gate: determinism held across identical runs; drift attributed"
 
-# Hammer hot-path gate: re-run the dram hammer microbenchmarks and
-# the Table 3 campaign benchmark, then check with hh-hotpath that the
-# batched steady-state hammer path still reports 0 allocs/op and that
+# Hammer hot-path gate: re-run the dram hammer microbenchmarks, the
+# watchpoint tick benchmark and the Table 3 campaign benchmark, then
+# check with hh-hotpath that the batched steady-state hammer path and a
+# watchpoint tick still report 0 allocs/op and that
 # the end-to-end attack cost has not regressed more than 25% against
 # the committed bench_output.txt (same tolerance rule as hh-trend's
 # -bench-tol). On a legitimate speedup or workload change, run
 # `make bench` and commit the refreshed log pair.
 hotpath-gate:
 	$(GO) test -run xxx -bench 'BenchmarkHammer(Op|Batch|TRRAudit)$$' -benchmem -benchtime 20000x ./internal/dram/ > hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
+	$(GO) test -run xxx -bench 'BenchmarkInspectorEvaluate$$' -benchmem -benchtime 20000x ./internal/inspect/ >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) test -run xxx -bench 'BenchmarkTable3AttackCost$$' -benchmem -benchtime 1x . >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) run ./cmd/hh-hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
-		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch -compare BenchmarkTable3AttackCost -bench-tol 0.25
+		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkInspectorEvaluate -compare BenchmarkTable3AttackCost -bench-tol 0.25
 	rm -f hotpath_bench.txt
 
 # Determinism-ledger gate: the short matrix run twice with the ledger
@@ -159,6 +162,15 @@ ledger-gate:
 	grep -q ', epoch 1$$' ledger_drift.txt
 	rm -f led_a.json led_b.json led_c.json led_d.json ledger_drift.txt
 	@echo "ledger-gate: ledgers identical across same-seed runs; drift localized"
+
+# Telemetry overhead budget: the short campaign timed bare, with
+# -artifact and with -artifact -ledger-epoch 100ms (five interleaved
+# runs each); fails when the -artifact median exceeds 1.5x the bare
+# median or the ledger median 2.0x. All three do the same simulated
+# work, so the ratios are the cost of the telemetry planes.
+telemetry-budget:
+	$(GO) build -o bin/ ./cmd/hyperhammer
+	scripts/telemetry-budget.sh bin/hyperhammer
 
 # Brief fuzzing pass over the fuzz targets.
 fuzz:

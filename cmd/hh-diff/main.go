@@ -14,7 +14,7 @@
 // Usage:
 //
 //	hh-diff old.json new.json
-//	hh-diff -sim-tol 0.05 -count-tol 0.05 testdata/baselines/short-seed4.json run.json
+//	hh-diff -sim-tol 0 -count-tol 0 testdata/baselines/short-seed4.json run.json
 //	hh-diff -bench-tol 0.5 BENCH_old.json BENCH_new.json
 //	hh-diff -host-tol 0.5 old.json new.json   # gate plan host timings at ±50%
 //	hh-diff -all old.json new.json     # list in-tolerance rows too

@@ -156,6 +156,9 @@ type Table struct {
 	// in memory. Used for instrumentation such as Table 2's EPT-page
 	// dump and for teardown.
 	tables map[memdef.PFN]int
+	// levels counts the entries of tables per level (index = level),
+	// so the layout census reads them without walking the map.
+	levels [Levels5 + 1]int
 
 	// leaf4k and leaf2m count installed leaf mappings by page size.
 	// Like tables, this is hypervisor bookkeeping — flip-corrupted
@@ -224,6 +227,7 @@ func NewWithLevels(mem Memory, alloc Allocator, levels int) (*Table, error) {
 		rootLevel: levels,
 		tables:    map[memdef.PFN]int{root: levels},
 	}
+	t.levels[levels] = 1
 	return t, nil
 }
 
@@ -272,6 +276,7 @@ func (t *Table) walkTo(va uint64, toLevel int, create bool) (memdef.PFN, error) 
 			}
 			t.mem.ZeroPage(next)
 			t.tables[next] = level - 1
+			t.levels[level-1]++
 			t.met.tablePages.Add(1)
 			t.writeEntry(tp, va, level, NewEntry(next, PermRWX, false))
 			tp = next
@@ -420,6 +425,7 @@ func (t *Table) SplitHuge(va uint64, perm Perm) (memdef.PFN, error) {
 	}
 	t.mem.ZeroPage(leaf)
 	t.tables[leaf] = leafLevel
+	t.levels[leafLevel]++
 	t.met.splits.Inc()
 	t.met.tablePages.Add(1)
 	base := e.PFN()
@@ -461,15 +467,7 @@ func (t *Table) Leaves() (leaf4k, leaf2m int) { return t.leaf4k, t.leaf2m }
 // TableCountByLevel returns how many table pages exist at each level
 // (index = level, 0 unused), the O(levels) form of TablePages for the
 // layout census.
-func (t *Table) TableCountByLevel() [Levels5 + 1]int {
-	var counts [Levels5 + 1]int
-	for _, l := range t.tables {
-		if l >= 0 && l <= Levels5 {
-			counts[l]++
-		}
-	}
-	return counts
-}
+func (t *Table) TableCountByLevel() [Levels5 + 1]int { return t.levels }
 
 // TablePages returns the frames of all hypervisor-allocated table
 // pages at the given level (per bookkeeping, not memory contents).
@@ -507,4 +505,5 @@ func (t *Table) Destroy() {
 	}
 	t.met.tablePages.Add(-int64(len(pages)))
 	t.tables = nil
+	t.levels = [Levels5 + 1]int{}
 }

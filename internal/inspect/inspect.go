@@ -69,8 +69,6 @@ type Inspector struct {
 
 	mu   sync.Mutex
 	heat *Heatmap
-	// reg is the metrics registry watchpoint rules read values from.
-	reg *metrics.Registry
 	// censusFn builds the bound host's current census.
 	censusFn func() Census
 	// emit publishes fired alerts as structured trace events
@@ -78,7 +76,10 @@ type Inspector struct {
 	// onto the event bus.
 	emit func(kind string, kv ...any)
 
-	rules  []Rule
+	rules []Rule
+	// keys holds each rule's value key, resolved against the metrics
+	// registry at SetMetrics.
+	keys   []ruleKey
 	state  []ruleState
 	alerts []Alert
 	total  uint64
@@ -97,13 +98,15 @@ type Inspector struct {
 // New creates an Inspector.
 func New(cfg Config) *Inspector {
 	cfg = cfg.withDefaults()
-	return &Inspector{
+	ins := &Inspector{
 		cfg:    cfg,
 		heat:   NewHeatmap(0, 0, cfg.RowBuckets),
 		rules:  append([]Rule(nil), cfg.Rules...),
 		state:  make([]ruleState, len(cfg.Rules)),
 		byRule: make(map[string]uint64),
 	}
+	ins.keys = bindRules(ins.rules, nil)
+	return ins
 }
 
 // Scoped returns a fresh Inspector with the same configuration, for
@@ -135,13 +138,14 @@ func (ins *Inspector) BindMachine(banks, rows int) {
 	ins.mu.Unlock()
 }
 
-// SetMetrics installs the registry watchpoint rules read from.
+// SetMetrics installs the registry watchpoint rules read from and
+// resolves every rule's value key against it.
 func (ins *Inspector) SetMetrics(reg *metrics.Registry) {
 	if ins == nil {
 		return
 	}
 	ins.mu.Lock()
-	ins.reg = reg
+	ins.keys = bindRules(ins.rules, reg)
 	ins.mu.Unlock()
 }
 
@@ -215,20 +219,15 @@ func (ins *Inspector) Evaluate(now time.Duration) {
 		return
 	}
 	t := now.Seconds()
-	vals := ins.valuesLocked()
 	for i := range ins.rules {
 		r := ins.rules[i]
 		st := &ins.state[i]
-		key := r.Metric
-		isRate := false
-		if inner, ok := rateInner(r.Metric); ok {
-			key, isRate = inner, true
-		}
-		v, ok := vals[key]
+		k := &ins.keys[i]
+		v, ok := ins.valueLocked(k)
 		if !ok {
 			continue
 		}
-		if isRate {
+		if k.rate {
 			raw := v
 			if !st.hasPrev || t <= st.prevT {
 				st.prevVal, st.prevT, st.hasPrev = raw, t, true
@@ -262,36 +261,13 @@ func (ins *Inspector) fireLocked(r Rule, unit string, t, v float64) {
 	}
 }
 
-// valuesLocked builds the value map rules resolve against: every
-// registry counter and gauge under both its bare name (summed across
-// labels) and its "name{k=v}" series key, plus heatmap-derived dram.*
-// values.
-func (ins *Inspector) valuesLocked() map[string]float64 {
-	vals := make(map[string]float64, 64)
-	snap := ins.reg.Snapshot()
-	addSample := func(s metrics.Sample) {
-		vals[s.Name] += s.Value
-		if len(s.Labels) > 0 {
-			key := s.Name + "{"
-			for i := 0; i+1 < len(s.Labels); i += 2 {
-				if i > 0 {
-					key += ","
-				}
-				key += s.Labels[i] + "=" + s.Labels[i+1]
-			}
-			vals[key+"}"] = s.Value
-		}
+// valueLocked reads a rule's resolved value key; ok is false when the
+// key names nothing.
+func (ins *Inspector) valueLocked(k *ruleKey) (float64, bool) {
+	if k.dram != nil {
+		return float64(k.dram(ins.heat)), true
 	}
-	for _, s := range snap.Counters {
-		addSample(s)
-	}
-	for _, s := range snap.Gauges {
-		addSample(s)
-	}
-	vals["dram.row_window_activations"] = float64(ins.heat.maxRowWindow)
-	vals["dram.total_activations"] = float64(ins.heat.totalAct)
-	vals["dram.total_flips"] = float64(ins.heat.totalFlips)
-	return vals
+	return k.h.Value()
 }
 
 // Absorb folds a completed scoped Inspector into this one, tagging its

@@ -3,6 +3,8 @@ package inspect
 import (
 	"fmt"
 	"strings"
+
+	"hyperhammer/internal/metrics"
 )
 
 // The watchpoint engine evaluates declarative threshold rules over the
@@ -29,8 +31,8 @@ type Rule struct {
 	// Name identifies the rule in alerts and tables.
 	Name string `json:"name"`
 	// Metric is the value key: a registry counter/gauge name (or
-	// "name{k=v}" for one labeled series; the bare name sums across
-	// labels), a derived dram.* value, or "rate(<key>)" for the
+	// "name{k=v,...}" with labels in sorted order for one labeled
+	// series; the bare name sums across labels), a derived dram.* value, or "rate(<key>)" for the
 	// per-simulated-second rate of a key between sample ticks.
 	Metric string `json:"metric"`
 	// Op is one of > >= < <= == !=.
@@ -115,6 +117,40 @@ type AlertsSnapshot struct {
 	ByRule []RuleCount `json:"byRule"`
 	// Recent is the bounded alert ring, oldest first.
 	Recent []Alert `json:"recent"`
+}
+
+// dramKeys maps the derived dram.* value keys to the heatmap fields
+// they read. They shadow any registry family of the same name.
+var dramKeys = map[string]func(*Heatmap) int64{
+	"dram.row_window_activations": func(h *Heatmap) int64 { return h.maxRowWindow },
+	"dram.total_activations":      func(h *Heatmap) int64 { return h.totalAct },
+	"dram.total_flips":            func(h *Heatmap) int64 { return h.totalFlips },
+}
+
+// ruleKey is a rule's value key, resolved once: a heatmap field or a
+// registry handle, and whether the rule takes its rate.
+type ruleKey struct {
+	rate bool
+	dram func(*Heatmap) int64
+	h    *metrics.Handle
+}
+
+// bindRules resolves every rule's value key against reg (nil binds
+// only the dram.* keys).
+func bindRules(rules []Rule, reg *metrics.Registry) []ruleKey {
+	keys := make([]ruleKey, len(rules))
+	for i, r := range rules {
+		key := r.Metric
+		if inner, ok := rateInner(key); ok {
+			key, keys[i].rate = inner, true
+		}
+		if read, ok := dramKeys[key]; ok {
+			keys[i].dram = read
+		} else {
+			keys[i].h = reg.Resolve(key)
+		}
+	}
+	return keys
 }
 
 // ruleState tracks one rule's trigger and rate memory between ticks.

@@ -183,6 +183,9 @@ type Registry struct {
 	// most recent host's clock (the old last-boot-wins hazard).
 	simBase  time.Duration
 	families map[string]*family
+	// gen counts family and series creations, so a resolved Handle
+	// can tell in one atomic load whether its binding went stale.
+	gen atomic.Uint64
 }
 
 // New creates an empty registry.
@@ -274,6 +277,7 @@ func (r *Registry) lookup(name, help string, k kind, buckets []float64, labels [
 	if !ok {
 		f = &family{name: name, help: help, kind: k, buckets: buckets, series: make(map[string]*series)}
 		r.families[name] = f
+		r.gen.Add(1)
 	} else if f.kind != k {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, k))
 	}
@@ -289,6 +293,7 @@ func (r *Registry) lookup(name, help string, k kind, buckets []float64, labels [
 			s.h = &Histogram{uppers: f.buckets, counts: make([]uint64, len(f.buckets)+1)}
 		}
 		f.series[key] = s
+		r.gen.Add(1)
 	}
 	return s
 }
@@ -333,6 +338,136 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 var DefBuckets = []float64{
 	0.001, 0.01, 0.1, 1, 10, 60, 300, 1800, 3600,
 	6 * 3600, 24 * 3600, 3 * 24 * 3600, 7 * 24 * 3600,
+}
+
+// --- Resolved keys ---
+
+// Handle is a value key bound to the counter and gauge series it reads,
+// so a reader polling the same key every tick pays one atomic load per
+// series instead of a registry snapshot. A key is a bare family name,
+// which sums every series of the family, or "name{k=v,...}" with the
+// labels in sorted order, which reads one series. Value reproduces what
+// a lookup in a map filled from Snapshot would return: sample by
+// sample in snapshot order (counters, then gauges, each by name then
+// label signature), a bare-name match adds to the value and a
+// "name{k=v,...}" match replaces it. The binding is redone whenever a
+// family or series was created since, so a key whose family does not
+// exist yet resolves once it does. A Handle is not safe for concurrent
+// use; the nil Handle reads nothing.
+type Handle struct {
+	reg   *Registry
+	key   string
+	gen   uint64
+	terms []handleTerm
+}
+
+// handleTerm is one series a Handle reads.
+type handleTerm struct {
+	c *Counter
+	g *Gauge
+	// set marks a labeled-series match, which replaces the running
+	// value instead of adding to it.
+	set bool
+}
+
+// Resolve binds key to the series it currently names. Nil-safe: a nil
+// registry yields a nil Handle.
+func (r *Registry) Resolve(key string) *Handle {
+	if r == nil {
+		return nil
+	}
+	h := &Handle{reg: r, key: key}
+	h.resolve()
+	return h
+}
+
+// resolve rebinds the handle's terms against the registry's current
+// families.
+func (h *Handle) resolve() {
+	r := h.reg
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	h.gen = r.gen.Load()
+	h.terms = h.terms[:0]
+	// Only the family named key, or one whose name is followed by "{"
+	// in key, can produce a sample under key.
+	var fams []*family
+	for i := 0; i <= len(h.key); i++ {
+		if i < len(h.key) && h.key[i] != '{' {
+			continue
+		}
+		if f, ok := r.families[h.key[:i]]; ok && f.kind != kindHistogram {
+			fams = append(fams, f)
+		}
+	}
+	sort.Slice(fams, func(i, j int) bool {
+		if fams[i].kind != fams[j].kind {
+			return fams[i].kind < fams[j].kind
+		}
+		return fams[i].name < fams[j].name
+	})
+	for _, f := range fams {
+		keys := make([]string, 0, len(f.series))
+		for k := range f.series {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			s := f.series[k]
+			term := handleTerm{c: s.c, g: s.g}
+			switch {
+			case f.name == h.key:
+			case len(s.labels) > 0 && seriesKey(f.name, s.labels) == h.key:
+				term.set = true
+			default:
+				continue
+			}
+			h.terms = append(h.terms, term)
+		}
+	}
+}
+
+// seriesKey renders one labeled series as "name{k=v,...}".
+func seriesKey(name string, labels []string) string {
+	var sb strings.Builder
+	sb.WriteString(name)
+	sb.WriteByte('{')
+	for i := 0; i+1 < len(labels); i += 2 {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(labels[i])
+		sb.WriteByte('=')
+		sb.WriteString(labels[i+1])
+	}
+	sb.WriteByte('}')
+	return sb.String()
+}
+
+// Value returns the key's current value; ok is false while the key
+// names no counter or gauge series. It does not allocate unless the
+// registry gained a family or series since the last call.
+func (h *Handle) Value() (v float64, ok bool) {
+	if h == nil {
+		return 0, false
+	}
+	if h.reg.gen.Load() != h.gen {
+		h.resolve()
+	}
+	for _, t := range h.terms {
+		var x float64
+		if t.c != nil {
+			x = float64(t.c.Value())
+		} else {
+			x = float64(t.g.Value())
+		}
+		if t.set {
+			v = x
+		} else {
+			v += x
+		}
+	}
+	return v, len(h.terms) > 0
 }
 
 // --- Snapshots ---
