@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate telemetry-budget clean
+.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify bench-module tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate telemetry-budget clean
 
 all: build vet test
 
@@ -32,6 +32,14 @@ test-short:
 # concurrency tests.
 test-race:
 	$(GO) test -race ./...
+
+# The repository benchmark (hhbench/) is its own Go module with a
+# replace directive back to this one, so `go build ./...` and
+# `go test ./...` at the root never compile it. Vet and test it on its
+# own, so a change to the public facade that breaks the benchmark
+# program fails here.
+bench-module:
+	cd hhbench && $(GO) vet ./... && $(GO) test ./...
 
 # Every table/figure experiment as benchmarks, full paper scale.
 # Table 3 runs two complete attack campaigns and dominates the time.

@@ -15,14 +15,10 @@ import (
 	"time"
 
 	"hyperhammer/internal/dram"
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/kvm"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
-	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/obs"
-	"hyperhammer/internal/trace"
+	"hyperhammer/internal/telemetry"
 )
 
 // Options control experiment scale and determinism.
@@ -41,42 +37,18 @@ type Options struct {
 	// scoped telemetry and are folded in declaration order (see
 	// plan.go).
 	Parallel int
-	// Trace, when non-nil, receives host- and tool-side events from
-	// every host the experiments boot. Each scheduled unit records into
-	// its own scoped recorder; completed units replay into this one in
-	// declaration order, so the merged stream is deterministic for a
-	// fixed seed regardless of Parallel.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, aggregates instrumentation across every
-	// booted host into one registry. Each unit meters into its own
-	// scoped registry, bound to its host's clock exactly once;
-	// completed units' snapshots are absorbed in declaration order, and
-	// sim_seconds accumulates across hosts instead of reflecting only
-	// the most recent boot.
-	Metrics *metrics.Registry
+	// Planes, when set, record every host the experiments boot. Each
+	// scheduled unit records into its own Planes.Scoped copy; completed
+	// units are absorbed in declaration order, so every plane — the
+	// merged trace, the metrics (sim_seconds accumulates across hosts),
+	// introspection, forensics, ledger and cost profile — is
+	// byte-identical at every Parallel setting (see plan.go).
+	telemetry.Planes
 	// Obs, when non-nil, is the live observability plane. Concurrent
 	// units never drive its sampler directly (their telemetry is
 	// scoped); the engine samples the shared registry once per
 	// completed unit, tagging the series points with the unit's name.
 	Obs *obs.Plane
-	// Inspect, when non-nil, is the hardware introspection plane every
-	// booted host feeds: DRAM heatmaps, layout censuses and watchpoint
-	// alerts. Units run against scoped inspectors absorbed in
-	// declaration order, so its snapshots are byte-identical at every
-	// Parallel setting.
-	Inspect *inspect.Inspector
-	// Forensics, when non-nil, is the flip-provenance plane every booted
-	// host and campaign feeds: per-attempt flip lineage, verdicts, frame
-	// owners, and outcome taxonomies. Units run against scoped recorders
-	// absorbed in declaration order, like Inspect.
-	Forensics *forensics.Recorder
-	// Ledger, when non-nil, is the determinism-ledger plane every booted
-	// host feeds: rolling per-stream fingerprints of RNG draws, DRAM
-	// row/flip events, allocator traffic, EPT and guest-mapping
-	// mutations, and attack outcomes, sealed into sim-time epochs. Units
-	// run against scoped recorders absorbed in declaration order, so the
-	// ledger is byte-identical at every Parallel setting.
-	Ledger *ledger.Recorder
 }
 
 // DefaultOptions returns the full-scale deterministic defaults.
@@ -213,26 +185,7 @@ func (o Options) scale() scale {
 // newHost boots a host for one system at the chosen scale, attaching
 // the OpenStack workload for S3.
 func (o Options) newHost(sys System) (*kvm.Host, error) {
-	sc := o.scale()
-	cfg := kvm.Config{
-		Geometry:       sc.geometry(sys),
-		Fault:          sc.fault(sys, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: sc.hostNoise(sys),
-		Seed:           o.Seed ^ uint64(sys)<<32,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Obs:            o.Obs,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
-		Ledger:         o.Ledger,
-		// Intra-host parallelism rides the same -parallel knob as the
-		// experiment engine: the DRAM module shards its batched
-		// per-bank pass without perturbing any deterministic stream.
-		DRAMShardWorkers: o.Parallel,
-	}
-	h, err := kvm.NewHost(cfg)
+	h, err := o.newHostAt(o.scale(), sys)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +195,24 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 		}
 	}
 	return h, nil
+}
+
+// newHostAt boots a host for one system at an explicit scale (used
+// directly by comparisons that always run small).
+func (o Options) newHostAt(sc scale, sys System) (*kvm.Host, error) {
+	return kvm.NewHost(kvm.Config{
+		Geometry:       sc.geometry(sys),
+		Fault:          sc.fault(sys, o.Seed),
+		THP:            true,
+		NXHugepages:    true,
+		BootNoisePages: sc.hostNoise(sys),
+		Seed:           o.Seed ^ uint64(sys)<<32,
+		Planes:         o.Planes,
+		// Intra-host parallelism rides the same -parallel knob as the
+		// experiment engine: the DRAM module shards its batched
+		// per-bank pass without perturbing any deterministic stream.
+		DRAMShardWorkers: o.Parallel,
+	})
 }
 
 // Durations below are shared formatting helpers.

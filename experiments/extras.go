@@ -179,10 +179,7 @@ func mitigationRun(o Options, guarded bool) (mitigationOutcome, error) {
 		BootNoisePages: 1000,
 		Seed:           o.Seed,
 		Quarantine:     guard,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Planes:         o.Planes,
 	}
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
@@ -329,21 +326,4 @@ func xenKVMRun(o Options) ([2]int, error) {
 	}
 	stats := vm.EPTReuse()
 	return [2]int{stats.ReleasedPages, stats.ReusedPages}, nil
-}
-
-// newHostAt boots a host at an explicit scale (used by comparisons
-// that always run small).
-func (o Options) newHostAt(sc scale, sys System) (*kvm.Host, error) {
-	return kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(sys),
-		Fault:          sc.fault(sys, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: sc.hostNoise(sys),
-		Seed:           o.Seed ^ uint64(sys)<<32,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
-	})
 }

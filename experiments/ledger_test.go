@@ -3,16 +3,19 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
 	"hyperhammer/internal/ledger"
 )
 
-// ledgerRun executes a small two-unit plan with a determinism ledger
-// attached at the given worker count and returns the marshaled
-// snapshot — exactly the bytes a run artifact's ledger section would
-// embed.
+// ledgerRun executes a small plan with a determinism ledger attached
+// at the given worker count and returns the marshaled snapshot —
+// exactly the bytes a run artifact's ledger section would embed. Its
+// experiments boot hosts through every path: newHost (Table 1,
+// Figure 3), newHostAt (the sidedness ablation) and a hand-built host config
+// (the THP ablation).
 func ledgerRun(t *testing.T, parallel int) []byte {
 	t.Helper()
 	o := shortOpts()
@@ -22,6 +25,8 @@ func ledgerRun(t *testing.T, parallel int) []byte {
 	p := NewPlan(o)
 	p.Table1()
 	p.Figure3()
+	p.AblationSidedness()
+	p.AblationTHP()
 	if err := p.Run(); err != nil {
 		t.Fatalf("plan run (parallel=%d): %v", parallel, err)
 	}
@@ -43,14 +48,20 @@ func TestParallelLedgerMatchesSequential(t *testing.T) {
 		t.Errorf("ledgers differ between parallel 1 and 4:\nseq: %s\npar: %s", seq, par)
 	}
 
-	// The snapshot must carry real content, not a vacuous match: both
-	// units present with sealed epochs and the core subsystem streams.
+	// The snapshot must carry real content, not a vacuous match: every
+	// unit present, with sealed epochs and the core subsystem streams.
 	var snap ledger.Snapshot
 	if err := json.Unmarshal(seq, &snap); err != nil {
 		t.Fatalf("unmarshal ledger: %v", err)
 	}
-	if len(snap.Units) != 5 {
-		t.Fatalf("units = %d, want 5 (table1.S1/S2, figure3.S1-S3)", len(snap.Units))
+	var units []string
+	for _, u := range snap.Units {
+		units = append(units, u.Unit)
+	}
+	want := []string{"table1.S1", "table1.S2", "figure3.S1", "figure3.S2", "figure3.S3",
+		"ablation.sidedness", "ablation.thp.on", "ablation.thp.off"}
+	if fmt.Sprint(units) != fmt.Sprint(want) {
+		t.Fatalf("units = %v, want %v", units, want)
 	}
 	hammered := false
 	for _, u := range snap.Units {

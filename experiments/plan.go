@@ -3,13 +3,9 @@ package experiments
 import (
 	"sync"
 
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/metrics"
-	"hyperhammer/internal/profile"
 	"hyperhammer/internal/sched"
-	"hyperhammer/internal/trace"
+	"hyperhammer/internal/telemetry"
 )
 
 // This file is the deterministic parallel experiment engine. A Plan
@@ -18,7 +14,7 @@ import (
 // Options.Seed — and runs them on internal/sched's bounded worker
 // pool. Determinism does not depend on the worker count:
 //
-//   - Each unit runs against scoped telemetry (its own capture
+//   - Each unit runs against Options.Planes.Scoped (its own capture
 //     recorder, registry, and profile builder), so concurrent hosts
 //     never share a clock binding or cross-charge simulated time.
 //
@@ -63,29 +59,12 @@ func resolved[T any](v T) *Future[T] {
 // consumer such as Analysis.
 func Resolved[T any](v T) *Future[T] { return resolved(v) }
 
-// unitScope is one unit's private telemetry, absorbed at delivery.
-type unitScope struct {
-	tr   *trace.Recorder
-	reg  *metrics.Registry
-	prof *profile.Builder
-	ins  *inspect.Inspector
-	fr   *forensics.Recorder
-	led  *ledger.Recorder
-}
-
-// unitResult pairs a unit's value with its scope for the merge step.
-type unitResult struct {
-	v     any
-	scope *unitScope
-}
-
 // Plan accumulates experiment units and runs them.
 type Plan struct {
-	o        Options
-	profiler *profile.Builder
-	units    []sched.Unit
-	merges   []func(any)
-	finals   []func() error
+	o      Options
+	units  []sched.Unit
+	merges []func(any)
+	finals []func() error
 
 	mu       sync.Mutex
 	schedule *sched.Schedule
@@ -99,54 +78,22 @@ func NewPlan(o Options) *Plan { return &Plan{o: o} }
 // Units returns the number of registered units.
 func (p *Plan) Units() int { return len(p.units) }
 
-// SetProfiler attaches the shared cost profiler completed units merge
-// into. Each unit profiles live over its own scoped registry (counter
-// deltas attribute correctly only while the unit's host is running),
-// and the folded per-unit profile is absorbed at delivery. The caller
-// must NOT also attach the profiler as a sink on the shared recorder:
-// absorbed span events replaying through such a sink would be counted
-// twice.
-func (p *Plan) SetProfiler(b *profile.Builder) { p.profiler = b }
-
-// add registers one unit. run receives scoped options; store receives
-// the unit's value, in declaration order.
+// add registers one unit. run receives the options with the unit's
+// own scoped planes and no live plane; at delivery, in declaration
+// order, those planes are absorbed and store receives the unit's value.
 func (p *Plan) add(name string, run func(Options) (any, error), store func(any)) {
-	parent := p.o
-	profiler := p.profiler
-	p.units = append(p.units, sched.Unit{
-		Name: name,
-		Run: func() (any, error) {
-			uo := parent
-			var scope *unitScope
-			if parent.Trace != nil || parent.Metrics != nil || parent.Obs != nil ||
-				parent.Inspect != nil || parent.Forensics != nil ||
-				parent.Ledger != nil || profiler != nil {
-				scope = &unitScope{}
-				if parent.Trace != nil || profiler != nil || parent.Inspect != nil {
-					scope.tr = trace.NewCapture()
-				}
-				if parent.Metrics != nil || profiler != nil || parent.Inspect != nil {
-					scope.reg = metrics.New()
-				}
-				if profiler != nil {
-					scope.prof = profile.NewBuilder(scope.reg)
-					scope.tr.SetNamedSink("profile", scope.prof.Consume)
-				}
-				scope.ins = parent.Inspect.Scoped()
-				scope.fr = parent.Forensics.Scoped()
-				scope.led = parent.Ledger.Scoped()
-				uo.Trace = scope.tr
-				uo.Metrics = scope.reg
-				uo.Obs = nil
-				uo.Inspect = scope.ins
-				uo.Forensics = scope.fr
-				uo.Ledger = scope.led
-			}
-			v, err := run(uo)
-			return unitResult{v: v, scope: scope}, err
-		},
+	uo := p.o
+	uo.Planes = p.o.Planes.Scoped()
+	uo.Obs = nil
+	p.units = append(p.units, sched.Unit{Name: name, Run: func() (any, error) { return run(uo) }})
+	p.merges = append(p.merges, func(v any) {
+		p.o.Planes.Absorb(uo.Planes, name)
+		uo.Planes = telemetry.Planes{} // absorbed: release the unit's recorders
+		// The live plane takes one sample per folded unit, tagged
+		// with the unit's name.
+		p.o.Obs.SampleUnit(name)
+		store(v)
 	})
-	p.merges = append(p.merges, store)
 }
 
 // finally registers a post-run assembly step.
@@ -159,11 +106,7 @@ func (p *Plan) finally(fn func() error) { p.finals = append(p.finals, fn) }
 func (p *Plan) Run() error {
 	runner := sched.New(p.o.Parallel)
 	sc, err := runner.RunTimed(p.units, func(i int, v any) error {
-		ur := v.(unitResult)
-		p.mergeScope(p.units[i].Name, ur.scope)
-		if p.merges[i] != nil {
-			p.merges[i](ur.v)
-		}
+		p.merges[i](v)
 		return nil
 	})
 	p.mu.Lock()
@@ -191,14 +134,6 @@ func (p *Plan) Schedule() *sched.Schedule {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.schedule
-}
-
-// PlanReport builds the host-cost analysis of the last Run: per-unit
-// timings, critical path, parallel efficiency. Never nil — before any
-// run it is the empty report — so it plugs directly into
-// obs.Plane.SetPlanFunc and runartifact.Artifact.SetPlan.
-func (p *Plan) PlanReport() *profile.PlanReport {
-	return profile.BuildPlanReport(p.Schedule())
 }
 
 // recordSchedMetrics surfaces the schedule in the shared metrics
@@ -234,28 +169,6 @@ func (p *Plan) recordSchedMetrics(sc *sched.Schedule) {
 			hist.Observe(u.QueueWaitSeconds())
 		}
 	}
-}
-
-// mergeScope folds one completed unit's telemetry into the shared
-// plane: the captured trace replays through the shared recorder (span
-// IDs re-based, order preserved), the unit's cost profile and metrics
-// snapshot are absorbed, and the live observability store takes one
-// sample tagged with the unit's name.
-func (p *Plan) mergeScope(name string, s *unitScope) {
-	if s == nil {
-		return
-	}
-	p.o.Trace.Absorb(s.tr)
-	if p.profiler != nil && s.prof != nil {
-		p.profiler.Absorb(s.prof.Snapshot())
-	}
-	if p.o.Metrics != nil && s.reg != nil {
-		p.o.Metrics.Absorb(s.reg.Snapshot())
-	}
-	p.o.Inspect.Absorb(s.ins, name)
-	p.o.Forensics.Absorb(s.fr, name)
-	p.o.Ledger.Absorb(s.led, name)
-	p.o.Obs.SampleUnit(name)
 }
 
 // addTyped is add with typed run/store callbacks.

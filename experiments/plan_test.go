@@ -25,10 +25,9 @@ func planRun(t *testing.T, parallel int) (results []byte, snap metrics.Snapshot,
 	o.Trace = trace.New(&spanBuf, 0)
 	o.Metrics = metrics.New()
 	o.Inspect = inspect.New(inspect.Config{})
+	o.Profile = profile.NewBuilder(o.Metrics)
 
 	p := NewPlan(o)
-	profiler := profile.NewBuilder(o.Metrics)
-	p.SetProfiler(profiler)
 
 	t1 := p.Table1()
 	f3 := p.Figure3()
@@ -71,7 +70,7 @@ func planRun(t *testing.T, parallel int) (results []byte, snap metrics.Snapshot,
 	if err != nil {
 		t.Fatalf("marshal inspection: %v", err)
 	}
-	return out, o.Metrics.Snapshot(), profiler.Snapshot(), spanBuf.Bytes(), insp
+	return out, o.Metrics.Snapshot(), o.Profile.Snapshot(), spanBuf.Bytes(), insp
 }
 
 // TestParallelMatchesSequential is the determinism gate in miniature:
@@ -167,7 +166,7 @@ func hasSample(samples []metrics.Sample, name string) bool {
 
 // TestPlanHostSchedule: after Run, the plan exposes the host-cost
 // schedule — every unit timed and delivered on the effective pool —
-// and PlanReport derives a non-empty critical path and sane
+// and its plan report derives a non-empty critical path and sane
 // efficiency figures. Before any run both are safely empty.
 func TestPlanHostSchedule(t *testing.T) {
 	o := shortOpts()
@@ -176,7 +175,7 @@ func TestPlanHostSchedule(t *testing.T) {
 	if p.Schedule() != nil {
 		t.Fatal("schedule non-nil before run")
 	}
-	if r := p.PlanReport(); r == nil || len(r.Units) != 0 {
+	if r := profile.BuildPlanReport(p.Schedule()); r == nil || len(r.Units) != 0 {
 		t.Fatalf("pre-run report = %+v, want empty", r)
 	}
 	for range [4]int{} {
@@ -196,7 +195,7 @@ func TestPlanHostSchedule(t *testing.T) {
 			t.Fatalf("unit %d not fully timed: %+v", u.Index, u)
 		}
 	}
-	r := p.PlanReport()
+	r := profile.BuildPlanReport(sc)
 	if len(r.CriticalPath) == 0 {
 		t.Error("critical path empty after a successful run")
 	}

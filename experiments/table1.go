@@ -77,8 +77,7 @@ func profileSystem(o Options, sys System) (Table1Row, error) {
 	// Nest the attack phases under a per-system span so a cost profile
 	// of this run attributes simulated time to S1 and S2 separately
 	// (paths like "table1.S1;attack.profile").
-	cfg.Trace = o.Trace
-	cfg.Metrics = o.Metrics
+	cfg.Planes = o.Planes
 	span := o.Trace.StartSpan("table1."+sys.String(), "system", sys.String())
 	cfg.Span = span
 	prof, err := attack.Profile(gos, cfg)

@@ -172,7 +172,9 @@ type TraceSpan = trace.Span
 // ObsPlane is the live observability plane: a sim-time time-series
 // sampler over a metrics registry plus an event bus fed by the trace
 // recorder. Install one via HostConfig.Obs (every host boot arms the
-// sampler on its clock) and serve it over HTTP with ObsPlane.Serve.
+// sampler on its clock), hand it the host's recorders with
+// ObsPlane.SetPlanes(hostCfg.Planes), and serve it over HTTP with
+// ObsPlane.Serve.
 type ObsPlane = obs.Plane
 
 // ObsConfig tunes the observability plane (sampling interval, ring
@@ -189,7 +191,7 @@ func NewObs(reg *MetricsRegistry, cfg ObsConfig) *ObsPlane {
 // activation/flip heatmaps, memory-layout censuses, and sim-time
 // watchpoint alerts. Install one via HostConfig.Inspect (every host
 // boot sizes the heatmap and arms watchpoint evaluation on its clock)
-// and serve it live with ObsPlane.SetInspector; embed its snapshots in
+// and serve it live through ObsPlane.SetPlanes; embed its snapshots in
 // a RunArtifact with RunArtifact.SetInspector.
 type Inspector = inspect.Inspector
 
@@ -213,7 +215,7 @@ func DefaultWatchpointRules() []WatchpointRule { return inspect.DefaultRules() }
 // flip lineage (aggressors → verdict → owning frame), campaign outcome
 // taxonomies, and one-line cause synthesis. Install one via
 // HostConfig.Forensics (every host boot binds its clock and installs
-// the DRAM flip sink), serve it live with ObsPlane.SetForensics, and
+// the DRAM flip sink), serve it live through ObsPlane.SetPlanes, and
 // embed its snapshot in a RunArtifact with RunArtifact.SetForensics
 // for cmd/hh-why to read offline.
 type ForensicsRecorder = forensics.Recorder
@@ -233,7 +235,7 @@ func NewForensics(cfg ForensicsConfig) *ForensicsRecorder { return forensics.New
 // row/flip events, allocator traffic, EPT and guest-mapping mutations,
 // attack outcomes), sealed into sim-time epochs. Install one via
 // HostConfig.Ledger (every host boot binds its clock and resolves the
-// subsystem streams), serve it live with ObsPlane.SetLedger, and embed
+// subsystem streams), serve it live through ObsPlane.SetPlanes, and embed
 // its snapshot in a RunArtifact with RunArtifact.SetLedger for
 // cmd/hh-bisect to localize divergence offline.
 type LedgerRecorder = ledger.Recorder
@@ -253,9 +255,11 @@ func NewLedger(cfg LedgerConfig) *LedgerRecorder { return ledger.New(cfg) }
 func BisectLedgers(a, b *LedgerSnapshot) *ledger.Divergence { return ledger.Bisect(a, b) }
 
 // CostProfiler folds the span trace into a per-phase simulated-time
-// cost profile (see internal/profile). Attach one to a trace recorder
-// with TraceRecorder.SetNamedSink("profile", p.Consume), or install it
-// on an ObsPlane with AttachProfile so /api/profile serves it live.
+// cost profile (see internal/profile). Set it as HostConfig.Profile
+// and the host attaches it to HostConfig.Trace at boot (or attach it
+// yourself with TraceRecorder.SetNamedSink("profile", p.Consume)); hand
+// it to an ObsPlane through ObsPlane.SetPlanes so /api/profile serves it
+// live.
 type CostProfiler = profile.Builder
 
 // CostProfile is one folded snapshot of a CostProfiler: per-span-path

@@ -24,10 +24,8 @@ import (
 	"math/bits"
 	"time"
 
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
-	"hyperhammer/internal/metrics"
+	"hyperhammer/internal/telemetry"
 	"hyperhammer/internal/trace"
 )
 
@@ -89,27 +87,19 @@ type Config struct {
 	// sets. Nil for standalone PageSteer/Exploit calls.
 	scratch *attemptScratch
 
-	// Trace, when non-nil, receives span.* phase events for the attack
-	// steps. RunCampaign defaults it to the host's recorder.
-	Trace *trace.Recorder
+	// Planes are the recorders the attack steps observe through: Trace
+	// receives span.* phase events, Metrics the attack counters and the
+	// attack_phase_seconds histogram, Forensics the campaign/attempt
+	// lifecycle and per-attempt outcomes, Ledger each attempt's (index,
+	// outcome) pair on the "attack.outcome" stream. RunCampaign
+	// defaults each of those four to the host's plane.
+	telemetry.Planes
 	// Span, when non-nil, is the parent under which this invocation's
 	// phase spans nest. RunCampaign threads the campaign span into the
 	// profile and the attempt span into steering and exploitation, so a
 	// recorded trace attributes every phase to the attempt that ran it
 	// even when campaigns overlap. Left nil, phases open as root spans.
 	Span *trace.Span
-	// Metrics, when non-nil, receives attack counters and the
-	// attack_phase_seconds phase-timing histogram. RunCampaign defaults
-	// it to the host's registry.
-	Metrics *metrics.Registry
-	// Forensics, when non-nil, receives campaign/attempt lifecycle and
-	// per-attempt outcome facts for the flip-provenance plane.
-	// RunCampaign defaults it to the host's recorder.
-	Forensics *forensics.Recorder
-	// Ledger, when non-nil, receives each attempt's (index, outcome)
-	// pair on the "attack.outcome" determinism stream. RunCampaign
-	// defaults it to the host's recorder.
-	Ledger *ledger.Recorder
 }
 
 // PhaseBuckets is the attack_phase_seconds histogram layout: the

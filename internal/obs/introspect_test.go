@@ -11,6 +11,7 @@ import (
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/simtime"
+	"hyperhammer/internal/telemetry"
 )
 
 // TestIntrospectionEndpointsWithoutInspector checks /api/heatmap,
@@ -45,7 +46,7 @@ func TestIntrospectionEndpointsWithInspector(t *testing.T) {
 	ins.BindMachine(4, 1024)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 2} })
-	srv.plane.SetInspector(ins)
+	srv.plane.SetPlanes(telemetry.Planes{Inspect: ins})
 
 	ins.RecordRowActivations(1, 512, 9000)
 	ins.RecordFlip(1, 512)

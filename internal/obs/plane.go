@@ -4,13 +4,11 @@ import (
 	"sync"
 	"time"
 
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runstore"
 	"hyperhammer/internal/simtime"
+	"hyperhammer/internal/telemetry"
 	"hyperhammer/internal/trace"
 )
 
@@ -44,14 +42,11 @@ type Plane struct {
 	keepalive time.Duration
 	start     time.Time
 
-	mu        sync.Mutex
-	profiler  *profile.Builder
-	artifact  func() any
-	inspector *inspect.Inspector
-	forensics *forensics.Recorder
-	ledger    *ledger.Recorder
-	plan      func() *profile.PlanReport
-	runstore  *runstore.Store
+	mu       sync.Mutex
+	planes   telemetry.Planes
+	artifact func() any
+	plan     func() *profile.PlanReport
+	runstore *runstore.Store
 }
 
 // NewPlane creates a plane over reg (which may be nil: the plane then
@@ -177,106 +172,35 @@ func (p *Plane) SampleUnit(unit string) {
 	})
 }
 
-// AttachProfile installs a live cost profiler: once attached, every
-// recorder tapped via TapTrace also feeds the builder, and the
-// server's /api/profile endpoint serves its snapshots. Attach before
-// booting hosts so span starts are not missed. Safe on a nil receiver.
-func (p *Plane) AttachProfile(b *profile.Builder) {
+// SetPlanes installs the recorders the server's endpoints serve from:
+// /api/profile from Profile, /api/heatmap, /api/census and /api/alerts
+// from Inspect, /api/forensics from Forensics and /api/ledger from
+// Ledger. A plane left nil (or never calling this) makes its
+// endpoints serve empty-but-schema-valid snapshots. Safe on a nil
+// receiver.
+func (p *Plane) SetPlanes(t telemetry.Planes) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.profiler = b
+	p.planes = t
 	p.mu.Unlock()
 }
 
-// Profile snapshots the attached profiler (empty profile when none is
-// attached, so handlers never nil-check).
-func (p *Plane) Profile() *profile.Profile {
+// Planes returns the installed recorders (the zero Planes when unset;
+// every plane's snapshot is nil-safe).
+func (p *Plane) Planes() telemetry.Planes {
 	if p == nil {
-		return &profile.Profile{}
-	}
-	p.mu.Lock()
-	b := p.profiler
-	p.mu.Unlock()
-	return b.Snapshot()
-}
-
-// SetInspector installs the hardware introspection plane the server's
-// /api/heatmap, /api/census and /api/alerts endpoints serve from. A
-// nil inspector (or never calling this) makes those endpoints serve
-// empty-but-schema-valid snapshots. Safe on a nil receiver.
-func (p *Plane) SetInspector(ins *inspect.Inspector) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.inspector = ins
-	p.mu.Unlock()
-}
-
-// Inspector returns the installed introspection plane (nil when
-// unset; inspect snapshots are nil-safe).
-func (p *Plane) Inspector() *inspect.Inspector {
-	if p == nil {
-		return nil
+		return telemetry.Planes{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.inspector
-}
-
-// SetForensics installs the flip-provenance recorder the server's
-// /api/forensics endpoint serves from. A nil recorder (or never calling
-// this) makes the endpoint serve an empty-but-schema-valid snapshot.
-// Safe on a nil receiver.
-func (p *Plane) SetForensics(r *forensics.Recorder) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.forensics = r
-	p.mu.Unlock()
-}
-
-// Forensics returns the installed flip-provenance recorder (nil when
-// unset; forensics snapshots are nil-safe).
-func (p *Plane) Forensics() *forensics.Recorder {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forensics
-}
-
-// SetLedger installs the determinism-ledger recorder the server's
-// /api/ledger endpoint serves from. A nil recorder (or never calling
-// this) makes the endpoint serve an empty-but-schema-valid snapshot.
-// Safe on a nil receiver.
-func (p *Plane) SetLedger(r *ledger.Recorder) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.ledger = r
-	p.mu.Unlock()
-}
-
-// Ledger returns the installed determinism-ledger recorder (nil when
-// unset; ledger snapshots are nil-safe).
-func (p *Plane) Ledger() *ledger.Recorder {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ledger
+	return p.planes
 }
 
 // SetPlanFunc installs the callback /api/plan serves: the host-cost
-// schedule analysis of the current batch. The CLIs hand in a closure
-// (e.g. experiments.Plan.PlanReport) so the report reflects whatever
+// schedule analysis of the current batch. The CLI lifecycle hands in
+// a closure over its schedule source so the report reflects whatever
 // has been scheduled by request time. A nil fn (or never calling
 // this) makes the endpoint serve an empty-but-schema-valid report.
 // Safe on a nil receiver.
@@ -366,11 +290,11 @@ func (p *Plane) ArtifactFunc() func() any {
 }
 
 // TapTrace streams every event the recorder emits onto the plane's
-// bus, timestamps converted to seconds, and — when a profiler is
-// attached — into the cost profile. The taps register under named
-// sinks, so re-tapping at every host boot is idempotent and leaves
-// other consumers of the recorder undisturbed. Safe on a nil receiver
-// (the recorder keeps whatever sinks it had).
+// bus, timestamps converted to seconds. The tap registers under a
+// named sink, so re-tapping at every host boot is idempotent and
+// leaves other consumers of the recorder (the cost profiler among
+// them) undisturbed. Safe on a nil receiver (the recorder keeps
+// whatever sinks it had).
 func (p *Plane) TapTrace(r *trace.Recorder) {
 	if p == nil {
 		return
@@ -382,10 +306,4 @@ func (p *Plane) TapTrace(r *trace.Recorder) {
 		}
 		p.bus.Publish(ev.Kind, sim, ev.Data)
 	})
-	p.mu.Lock()
-	b := p.profiler
-	p.mu.Unlock()
-	if b != nil {
-		r.SetNamedSink("profile", b.Consume)
-	}
 }

@@ -161,7 +161,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // JSON entry table (default), flamegraph folded stacks, or gzipped
 // pprof protobuf (`go tool pprof http://.../api/profile?format=pprof`).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	p := s.plane.Profile()
+	p := s.plane.Planes().Profile.Snapshot()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, p)
@@ -192,32 +192,32 @@ func (s *Server) handleArtifact(w http.ResponseWriter, _ *http.Request) {
 // snapshot methods are nil-safe, so the shape contract holds with no
 // inspector installed: arrays are [] and never null.
 func (s *Server) handleHeatmap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().HeatmapSnapshot())
+	writeJSON(w, s.plane.Planes().Inspect.HeatmapSnapshot())
 }
 
 // handleCensus serves the memory-layout census (plan units in
 // declaration order, live host last).
 func (s *Server) handleCensus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().CensusSnapshot())
+	writeJSON(w, s.plane.Planes().Inspect.CensusSnapshot())
 }
 
 // handleAlerts serves the fired-watchpoint state.
 func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().AlertsSnapshot())
+	writeJSON(w, s.plane.Planes().Inspect.AlertsSnapshot())
 }
 
 // handleForensics serves the flip-provenance snapshot. Snapshot is
 // nil-safe, so the shape contract holds with no recorder installed:
 // arrays are [] and never null.
 func (s *Server) handleForensics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Forensics().Snapshot())
+	writeJSON(w, s.plane.Planes().Forensics.Snapshot())
 }
 
 // handleLedger serves the determinism-ledger snapshot. Snapshot is
 // nil-safe, so the shape contract holds with no recorder installed:
 // arrays are [] and never null.
 func (s *Server) handleLedger(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Ledger().Snapshot())
+	writeJSON(w, s.plane.Planes().Ledger.Snapshot())
 }
 
 // handlePlan serves the host-cost schedule report. PlanReport is

@@ -14,6 +14,7 @@ import (
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/simtime"
+	"hyperhammer/internal/telemetry"
 	"hyperhammer/internal/trace"
 )
 
@@ -166,8 +167,8 @@ func TestProfileEndpoint(t *testing.T) {
 	rec := trace.New(nil, 0)
 	rec.BindClock(clock)
 	b := profile.NewBuilder(reg)
-	srv.plane.AttachProfile(b)
-	srv.plane.TapTrace(rec)
+	srv.plane.SetPlanes(telemetry.Planes{Profile: b})
+	rec.SetNamedSink("profile", b.Consume)
 
 	root := rec.StartSpan("attack.campaign")
 	child := root.StartChild("attack.steer")
@@ -332,7 +333,7 @@ func TestConcurrentScrapeWhileSimulating(t *testing.T) {
 	ins.BindMachine(4, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 1} })
-	p.SetInspector(ins)
+	p.SetPlanes(telemetry.Planes{Inspect: ins})
 	srv, err := p.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
