@@ -133,9 +133,10 @@ history-gate:
 	@echo "history-gate: determinism held across identical runs; drift attributed"
 
 # Hammer hot-path gate: re-run the dram hammer microbenchmarks, the
-# watchpoint tick benchmark and the Table 3 campaign benchmark, then
-# check with hh-hotpath that the batched steady-state hammer path and a
-# watchpoint tick still report 0 allocs/op and that
+# watchpoint tick benchmark, the table-page lifecycle benchmark and the
+# Table 3 campaign benchmark, then check with hh-hotpath that the
+# batched steady-state hammer path, a watchpoint tick and a table
+# page's zero/write/read/refill cycle still report 0 allocs/op and that
 # the end-to-end attack cost has not regressed more than 25% against
 # the committed bench_output.txt (same tolerance rule as hh-trend's
 # -bench-tol). On a legitimate speedup or workload change, run
@@ -143,9 +144,10 @@ history-gate:
 hotpath-gate:
 	$(GO) test -run xxx -bench 'BenchmarkHammer(Op|Batch|TRRAudit)$$' -benchmem -benchtime 20000x ./internal/dram/ > hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) test -run xxx -bench 'BenchmarkInspectorEvaluate$$' -benchmem -benchtime 20000x ./internal/inspect/ >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
+	$(GO) test -run xxx -bench 'BenchmarkTablePageLifecycle$$' -benchmem -benchtime 200000x ./internal/phys/ >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) test -run xxx -bench 'BenchmarkTable3AttackCost$$' -benchmem -benchtime 1x . >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) run ./cmd/hh-hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
-		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkInspectorEvaluate -compare BenchmarkTable3AttackCost -bench-tol 0.25
+		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkInspectorEvaluate,BenchmarkTablePageLifecycle -compare BenchmarkTable3AttackCost -bench-tol 0.25
 	rm -f hotpath_bench.txt
 
 # Determinism-ledger gate: the short matrix run twice with the ledger
@@ -186,6 +188,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEntryRoundTrip -fuzztime=10s ./internal/ept/
 	$(GO) test -fuzz=FuzzTranslateRobustness -fuzztime=20s ./internal/ept/
 	$(GO) test -fuzz=FuzzDeviceProtocol -fuzztime=20s ./internal/virtio/
+	$(GO) test -fuzz=FuzzMemoryOps -fuzztime=20s ./internal/phys/
 
 clean:
 	$(GO) clean ./...

@@ -52,8 +52,9 @@ type VirtioCensus struct {
 // PhysCensus is frame-ownership accounting from the host's side.
 type PhysCensus struct {
 	Frames int `json:"frames"`
-	// Materialized counts frames whose contents have been touched
-	// (the simulation materializes lazily).
+	// Materialized counts frames not in the pattern tier: frames
+	// written with a word other than their fill value since their
+	// last fill (the simulation materializes lazily).
 	Materialized int `json:"materialized"`
 	// KernelPages are frames the host kernel holds forever.
 	KernelPages int `json:"kernelPages"`

@@ -119,6 +119,26 @@ func TestTHPOffBreaksLow21Bits(t *testing.T) {
 	}
 }
 
+// A CreateVM that runs the host out of memory partway through boot
+// must hand every page back: the chunks it plugged, the EPT and, with
+// THP off, the 4 KiB frames of the chunk whose plug failed.
+func TestFailedCreateVMFreesEverything(t *testing.T) {
+	for _, thp := range []bool{true, false} {
+		cfg := testHostConfig()
+		cfg.THP = thp
+		h := newTestHost(t, cfg)
+		h.Buddy.DrainPCP()
+		before := h.Buddy.FreePages()
+		if _, err := h.CreateVM(VMConfig{MemSize: 254 * memdef.MiB, VFIOGroups: 1}); err == nil {
+			t.Fatalf("THP=%v: 254 MiB VM on a 256 MiB host booted", thp)
+		}
+		h.Buddy.DrainPCP()
+		if after := h.Buddy.FreePages(); after != before {
+			t.Errorf("THP=%v: free pages %d after failed CreateVM, want %d", thp, after, before)
+		}
+	}
+}
+
 func TestExecTriggersMultihitSplit(t *testing.T) {
 	h := newTestHost(t, testHostConfig())
 	vm := newTestVM(t, h, 16*memdef.MiB)

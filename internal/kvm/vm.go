@@ -134,7 +134,8 @@ func (vm *VM) backingMT() memdef.MigrateType {
 
 // tableAllocator provides EPT/IOPT table pages from the host buddy
 // allocator as order-0 MIGRATE_UNMOVABLE pages through the PCP — the
-// allocation path Page Steering aims at.
+// allocation path Page Steering aims at. It does not zero the page:
+// ept zeroes every table page it takes.
 type tableAllocator struct {
 	h     *Host
 	vm    *VM
@@ -146,7 +147,6 @@ func (a *tableAllocator) AllocTable() (memdef.PFN, error) {
 	if err != nil {
 		return 0, err
 	}
-	a.h.Mem.ZeroPage(p)
 	a.h.registerTable(p, a.vm)
 	a.count++
 	return p, nil
@@ -292,9 +292,7 @@ func (b *vmMemBackend) PlugRange(gpa memdef.GPA, size uint64) error {
 			h.Buddy.Free(base, memdef.HugeOrder, vm.backingMT())
 			return fmt.Errorf("kvm: mapping chunk %#x: %w", gpa, err)
 		}
-		for i := memdef.PFN(0); i < memdef.PagesPerHuge; i++ {
-			h.Mem.ZeroPage(base + i)
-		}
+		h.Mem.ZeroRange(base, memdef.PagesPerHuge)
 		vm.backing[gpa] = &chunkBacking{huge: true, frames: []memdef.PFN{base}}
 		vm.reverse[base] = gpa
 		vm.scanDirty = true
@@ -303,23 +301,38 @@ func (b *vmMemBackend) PlugRange(gpa memdef.GPA, size uint64) error {
 	}
 	// THP disabled: scatter 4 KiB pages, 4 KiB mappings (executable:
 	// the 4 KiB iTLB is not vulnerable, Section 4.2.3).
-	frames := make([]memdef.PFN, memdef.PagesPerHuge)
-	for i := range frames {
+	frames := make([]memdef.PFN, 0, memdef.PagesPerHuge)
+	for i := 0; i < memdef.PagesPerHuge; i++ {
 		p, err := h.Buddy.AllocPage(vm.backingMT())
 		if err != nil {
+			vm.unplugPartial(gpa, frames)
 			return fmt.Errorf("kvm: backing alloc: %w", err)
 		}
 		h.Mem.ZeroPage(p)
 		if err := vm.ept.Map4K(uint64(gpa)+uint64(i)*memdef.PageSize, p, ept.PermRWX); err != nil {
+			h.Buddy.FreePage(p, vm.backingMT())
+			vm.unplugPartial(gpa, frames)
 			return fmt.Errorf("kvm: mapping page: %w", err)
 		}
-		frames[i] = p
+		frames = append(frames, p)
 		vm.reverse[p] = gpa
 	}
 	vm.backing[gpa] = &chunkBacking{frames: frames}
 	vm.scanDirty = true
 	vm.flushChunk(gpa)
 	return nil
+}
+
+// unplugPartial undoes a 4 KiB plug that failed partway: frames[i]
+// is mapped at gpa + i pages. Frames go back newest first, the reverse
+// of the order the allocator handed them out in.
+func (vm *VM) unplugPartial(gpa memdef.GPA, frames []memdef.PFN) {
+	for i := len(frames) - 1; i >= 0; i-- {
+		// Cannot fail: the plug mapped this page.
+		_, _ = vm.ept.Unmap(uint64(gpa) + uint64(i)*memdef.PageSize)
+		delete(vm.reverse, frames[i])
+		vm.host.Buddy.FreePage(frames[i], vm.backingMT())
+	}
 }
 
 // UnplugRange releases a guest range: unmaps it from the EPT and

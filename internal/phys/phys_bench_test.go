@@ -46,3 +46,26 @@ func BenchmarkFlipBit(b *testing.B) {
 		m.FlipBit(addr, uint(i&7), i&8 == 0)
 	}
 }
+
+// BenchmarkTablePageLifecycle is one IOPT leaf's life during vIOMMU
+// exhaustion: zeroed on allocation, one entry written and read back,
+// then refilled on free, cycling over 60,000 frames. It must stay
+// allocation-free.
+func BenchmarkTablePageLifecycle(b *testing.B) {
+	const frames = 60000
+	m := New(frames * memdef.PageSize)
+	m.SetPageWord(0, 0, 1) // warm the sparse store
+	m.FillWord(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := memdef.PFN(i % frames)
+		a := p.HPAOf() + memdef.HPA(i&0xFF8)
+		m.ZeroPage(p)
+		m.SetWord(a, uint64(i)|1)
+		lifecycleSink += m.Word(a)
+		m.FillWord(p, 0)
+	}
+}
+
+var lifecycleSink uint64

@@ -1,7 +1,9 @@
 package phys
 
 import (
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"hyperhammer/internal/memdef"
 )
@@ -135,6 +137,127 @@ func TestOutOfRangePanics(t *testing.T) {
 	mustPanic(t, func() { m.FillWord(memdef.PFN(16), 0) })
 	mustPanic(t, func() { m.FlipBit(0, 9, true) })
 	mustPanic(t, func() { New(100) })
+	mustPanic(t, func() { m.ZeroRange(15, 2) })
+	mustPanic(t, func() { m.ZeroRange(17, 0) })
+	mustPanic(t, func() { m.SetPageWord(0, 512, 1) })
+}
+
+// The per-frame arrays are the store's fixed cost on a 16 GiB host
+// (4 M frames): they must stay pointer-free, so the collector never
+// scans them, and within 12 bytes per frame.
+func TestPerFrameArraysCompact(t *testing.T) {
+	m := New(64 * memdef.KiB)
+	if n := unsafe.Sizeof(m.pattern[0]) + unsafe.Sizeof(m.slot[0]); n > 12 {
+		t.Errorf("per-frame state is %d bytes, want at most 12", n)
+	}
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(m.pattern).Elem(),
+		reflect.TypeOf(m.slot).Elem(),
+		reflect.TypeOf(sparseRec{}),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("%v holds pointers", typ)
+		}
+	}
+}
+
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return false
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	}
+	return true
+}
+
+func TestSparseFramePromotesAtKPlusOne(t *testing.T) {
+	m := New(64 * memdef.KiB)
+	m.FillWord(2, 0x5A)
+	for i := 0; i < sparseMax; i++ {
+		m.SetPageWord(2, 10*i, uint64(i))
+	}
+	if m.slot[2] <= 0 {
+		t.Fatalf("frame with %d overrides not sparse (slot %d)", sparseMax, m.slot[2])
+	}
+	// Writing the pattern back frees an override, so one more
+	// distinct word still fits.
+	m.SetPageWord(2, 0, 0x5A)
+	m.SetPageWord(2, 501, 1)
+	if m.slot[2] <= 0 {
+		t.Fatalf("frame promoted with %d live overrides", sparseMax)
+	}
+	m.SetPageWord(2, 502, 2)
+	if m.slot[2] >= 0 {
+		t.Fatalf("frame still sparse after %d distinct overrides", sparseMax+1)
+	}
+	for i := 0; i < wordsPerPage; i++ {
+		want := uint64(0x5A)
+		switch {
+		case i == 501:
+			want = 1
+		case i == 502:
+			want = 2
+		case i > 0 && i%10 == 0 && i < 10*sparseMax:
+			want = uint64(i / 10)
+		}
+		if got := m.PageWord(2, i); got != want {
+			t.Errorf("word %d = %#x after promotion, want %#x", i, got, want)
+		}
+	}
+	// The promoted frame's record is free for the next sparse frame.
+	m.SetPageWord(3, 0, 1)
+	if n := m.sparse.n; n != 1 {
+		t.Errorf("sparse store holds %d records for one sparse frame", n)
+	}
+	if m.MaterializedFrames() != 2 {
+		t.Errorf("materialized %d frames, want 2", m.MaterializedFrames())
+	}
+	m.ZeroRange(0, m.Frames())
+	if m.MaterializedFrames() != 0 || m.slot[2] != 0 {
+		t.Errorf("ZeroRange left %d materialized frames", m.MaterializedFrames())
+	}
+}
+
+// Growing the dense store never moves a page already handed out, and
+// released pages are reused before it grows again.
+func TestDenseStoreGrowthKeepsPages(t *testing.T) {
+	const frames = 192
+	m := New(4 * memdef.MiB)
+	densify := func(p memdef.PFN) {
+		for i := 0; i <= sparseMax; i++ {
+			m.SetPageWord(p, i, uint64(p)<<16|uint64(i)+1)
+		}
+	}
+	densify(0)
+	first := m.densePage(m.slot[0])
+	for p := memdef.PFN(1); p < frames; p++ {
+		densify(p)
+	}
+	if m.densePage(m.slot[0]) != first {
+		t.Fatal("frame 0's dense page moved when the store grew")
+	}
+	for p := memdef.PFN(0); p < frames; p++ {
+		if got := m.PageWord(p, sparseMax); got != uint64(p)<<16|sparseMax+1 {
+			t.Fatalf("frame %d word %d = %#x", p, sparseMax, got)
+		}
+	}
+	m.ZeroRange(0, frames/2)
+	for p := memdef.PFN(frames); p < frames+frames/2; p++ {
+		densify(p)
+	}
+	if len(m.dense.pages) != frames {
+		t.Errorf("store grew to %d pages with %d free", len(m.dense.pages), frames/2)
+	}
 }
 
 func mustPanic(t *testing.T, f func()) {
@@ -145,4 +268,20 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// The sparse store grows a chunk at a time and never moves a record.
+func TestSparseStoreGrowsByChunks(t *testing.T) {
+	m := New(1 * memdef.MiB)
+	m.SetPageWord(0, 1, 7)
+	first := m.sparseRec(m.slot[0])
+	for p := memdef.PFN(1); p <= sparseChunk; p++ {
+		m.SetPageWord(p, 1, 7)
+	}
+	if got := len(m.sparse.chunks); got != 2 {
+		t.Errorf("%d sparse frames took %d chunks, want 2", sparseChunk+1, got)
+	}
+	if m.sparseRec(m.slot[0]) != first || m.PageWord(0, 1) != 7 {
+		t.Error("frame 0's sparse record moved when the store grew")
+	}
 }
