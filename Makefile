@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify bench-module tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate telemetry-budget clean
+.PHONY: all build test test-short test-race vet lint bench bench-short bench-verify bench-module tables demo fuzz profile-gate parallel-gate history-gate hotpath-gate ledger-gate telemetry-budget examples-gate clean
 
 all: build vet test
 
@@ -181,6 +181,22 @@ ledger-gate:
 telemetry-budget:
 	$(GO) build -o bin/ ./cmd/hyperhammer
 	scripts/telemetry-budget.sh bin/hyperhammer
+
+# Examples gate: every program under examples/ must print exactly its
+# committed golden file, testdata/examples/<name>.txt (all of them are
+# seed-deterministic). On a deliberate change, regenerate the golden
+# with `go run ./examples/<name> > testdata/examples/<name>.txt` and
+# review the diff.
+EXAMPLES := $(notdir $(wildcard examples/*))
+examples-gate:
+	$(GO) build -o bin/examples/ ./examples/...
+	@for e in $(EXAMPLES); do \
+		bin/examples/$$e > bin/examples/$$e.txt || { echo "examples-gate: $$e exited nonzero"; exit 1; }; \
+		cmp testdata/examples/$$e.txt bin/examples/$$e.txt || { \
+			echo "examples-gate: $$e output differs from testdata/examples/$$e.txt"; \
+			diff testdata/examples/$$e.txt bin/examples/$$e.txt; exit 1; }; \
+	done
+	@echo "examples-gate: $(words $(EXAMPLES)) examples match their goldens"
 
 # Brief fuzzing pass over the fuzz targets.
 fuzz:

@@ -22,13 +22,19 @@ func main() {
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	flag.Parse()
 
-	run := func(name string, cfg hyperhammer.HostConfig) {
-		res, err := hyperhammer.RecoverBankFunction(cfg.Geometry, *seed)
+	ran := false
+	for _, sys := range []hyperhammer.System{hyperhammer.SystemS1, hyperhammer.SystemS2} {
+		if *system != "" && *system != sys.String() {
+			continue
+		}
+		ran = true
+		geo := hyperhammer.GetScenario(sys, hyperhammer.FullScale).Backend.Geometry
+		res, err := hyperhammer.RecoverBankFunction(geo, *seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hh-dramdig: %s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "hh-dramdig: %s: %v\n", sys, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%s (%s):\n", name, cfg.Geometry.Name)
+		fmt.Printf("%s (%s):\n", sys, geo.Name)
 		fmt.Printf("  %d banks from %d XOR masks (%d timing probes)\n",
 			res.Banks, len(res.Masks), res.ProbeCount)
 		for _, m := range res.Masks {
@@ -42,15 +48,7 @@ func main() {
 		}
 		fmt.Printf("  all bits below 22 (THP-compatible): %v\n\n", res.AllBitsBelow(22))
 	}
-	switch *system {
-	case "S1":
-		run("S1", hyperhammer.S1(*seed))
-	case "S2":
-		run("S2", hyperhammer.S2(*seed))
-	case "":
-		run("S1", hyperhammer.S1(*seed))
-		run("S2", hyperhammer.S2(*seed))
-	default:
+	if !ran {
 		fmt.Fprintln(os.Stderr, "hh-dramdig: -system must be S1 or S2")
 		os.Exit(2)
 	}

@@ -23,34 +23,29 @@ func main() {
 	verbose := flag.Bool("v", false, "print each vulnerable bit")
 	flag.Parse()
 
-	var hostCfg hyperhammer.HostConfig
-	var masks []uint64
-	switch *system {
-	case "S1":
-		hostCfg = hyperhammer.S1(*seed)
-		masks = hyperhammer.S1BankFunction()
-	case "S2":
-		hostCfg = hyperhammer.S2(*seed)
-		masks = hyperhammer.S2BankFunction()
-	default:
+	var sp hyperhammer.Scenario
+	for _, sys := range []hyperhammer.System{hyperhammer.SystemS1, hyperhammer.SystemS2} {
+		if sys.String() == *system {
+			sp = hyperhammer.GetScenario(sys, hyperhammer.FullScale)
+		}
+	}
+	if sp.Backend.Geometry == nil {
 		fmt.Fprintln(os.Stderr, "hh-profile: -system must be S1 or S2")
 		os.Exit(2)
 	}
 
-	host, err := hyperhammer.NewHost(hostCfg)
+	host, err := hyperhammer.NewHost(sp.HostConfig(*seed))
 	if err != nil {
 		fatal(err)
 	}
-	vm, err := host.CreateVM(hyperhammer.VMConfig{
-		MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1, BootSplits: 500,
-	})
+	vm, err := host.CreateVM(sp.VM)
 	if err != nil {
 		fatal(err)
 	}
 	gos := hyperhammer.BootGuest(vm)
 
-	cfg := hyperhammer.DefaultAttackConfig(masks)
-	cfg.ProfileHugepages = 12 * hyperhammer.GiB / hyperhammer.HugePageSize
+	cfg := sp.AttackConfig()
+	cfg.ProfileHugepages = int(sp.Attacker.ProfileSize / hyperhammer.HugePageSize)
 	cfg.StopAfterExploitable = *stop
 	prof, err := hyperhammer.Profile(gos, cfg)
 	if err != nil {

@@ -8,31 +8,53 @@
 //
 //	hh-steer                 # 16 GiB S1, B=20 blocks, 10 GiB spray
 //	hh-steer -blocks 100 -spray 5
+//
+// It exits 0 after reporting, 1 when the simulation fails and 2 on a
+// usage error, including a B the tenant's hugepages cannot hold.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 
 	"hyperhammer"
 )
 
-func main() {
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	blocks := flag.Int("blocks", 20, "page blocks to release (the paper's B)")
-	sprayGiB := flag.Int("spray", 10, "EPT-creation buffer in GiB (the paper's S)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	host, err := hyperhammer.NewHost(hyperhammer.S1(*seed))
-	if err != nil {
-		fatal(err)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hh-steer", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	blocks := fs.Int("blocks", 20, "page blocks to release (the paper's B, at least 1)")
+	sprayGiB := fs.Int("spray", 10, "EPT-creation buffer in GiB (the paper's S)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-	vm, err := host.CreateVM(hyperhammer.VMConfig{
-		MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1, BootSplits: 500,
-	})
+	if *blocks < 1 || *sprayGiB < 0 {
+		fmt.Fprintf(stderr, "hh-steer: need -blocks >= 1 and -spray >= 0, got %d and %d\n", *blocks, *sprayGiB)
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hh-steer:", err)
+		return 1
+	}
+
+	s1 := hyperhammer.GetScenario(hyperhammer.SystemS1, hyperhammer.FullScale)
+	host, err := hyperhammer.NewHost(s1.HostConfig(*seed))
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	vm, err := host.CreateVM(s1.VM)
+	if err != nil {
+		return fail(err)
 	}
 	gos := hyperhammer.BootGuest(vm)
 	gos.InstallAttackDriver()
@@ -40,30 +62,37 @@ func main() {
 	n := gos.FreeHugepages()
 	base, err := gos.AllocHuge(n)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("noise pages before exhaustion: %d\n", host.NoisePages())
+	// Releases are spread (n-1)/B hugepages apart, skipping the DMA
+	// target at index 0; that stride is zero once B reaches n.
+	if *blocks >= n {
+		fmt.Fprintf(stderr, "hh-steer: -blocks %d needs fewer blocks than the tenant's %d hugepages\n", *blocks, n)
+		return 2
+	}
+	fmt.Fprintf(stdout, "noise pages before exhaustion: %d\n", host.NoisePages())
 
 	// Step 1: exhaustion.
+	maps := s1.Attacker.IOVAMappings
 	iova := hyperhammer.IOVA(0x1_0000_0000)
-	for m := 0; m < 60000; m++ {
+	for m := 0; m < maps; m++ {
 		if err := gos.MapDMA(0, iova, base); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		iova += hyperhammer.HugePageSize
 	}
-	fmt.Printf("noise pages after 60,000 vIOMMU mappings: %d\n", host.NoisePages())
+	fmt.Fprintf(stdout, "noise pages after %s vIOMMU mappings: %d\n", thousands(maps), host.NoisePages())
 
 	// Step 2: voluntary releases.
 	stride := (n - 1) / *blocks
 	released := 0
 	for i := 1; i < n && released < *blocks; i += stride {
 		if err := gos.ReleaseHugepage(base + hyperhammer.GVA(i)*hyperhammer.HugePageSize); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		released++
 	}
-	fmt.Printf("released %d blocks (%d pages) via voluntary virtio-mem unplug\n",
+	fmt.Fprintf(stdout, "released %d blocks (%d pages) via voluntary virtio-mem unplug\n",
 		released, released*512)
 
 	// Step 3: EPTE spray.
@@ -75,19 +104,25 @@ func main() {
 			continue // released
 		}
 		if _, err := gos.Exec(gva); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		sprayed++
 	}
-	fmt.Printf("sprayed %d hugepage executions (multihit splits: %d)\n", sprayed, vm.Splits())
+	fmt.Fprintf(stdout, "sprayed %d hugepage executions (multihit splits: %d)\n", sprayed, vm.Splits())
 
 	stats := vm.EPTReuse()
-	fmt.Printf("\nEPT reuse: N=%d E=%d R=%d R_N=%.1f%% R_E=%.1f%%\n",
+	fmt.Fprintf(stdout, "\nEPT reuse: N=%d E=%d R=%d R_N=%.1f%% R_E=%.1f%%\n",
 		stats.ReleasedPages, stats.EPTPages, stats.ReusedPages,
 		100*stats.RN(), 100*stats.RE())
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hh-steer:", err)
-	os.Exit(1)
+// thousands formats n with comma separators, as the paper writes its
+// mapping counts (60,000).
+func thousands(n int) string {
+	s := strconv.Itoa(n)
+	for i := len(s) - 3; i > 0; i -= 3 {
+		s = s[:i] + "," + s[i:]
+	}
+	return s
 }

@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	attempts := fs.Int("attempts", 0, "attempt budget (0 = scale default)")
 	metricsTable := fs.Bool("metrics-table", false, "print the metrics as a human-readable table at exit")
 	hammerRounds := fs.Int("hammer-rounds", 0, "activation budget per hammer pattern (0 = attack default)")
-	parallel := fs.Int("parallel", 1, "accepted for CLI symmetry with hh-tables and recorded in the artifact; the single campaign is one serial unit, so it does not change execution")
 	rn := clirun.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -63,39 +62,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	hostCfg := hyperhammer.S1(*seed)
-	vmCfg := hyperhammer.VMConfig{MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1, BootSplits: 500}
-	attackCfg := hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction())
-	budget := 600
-	scale := "full"
+	scale, budget := hyperhammer.FullScale, 600
 	if *short {
-		g, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
-			Name:      "short-4G (i3-10100 bank function)",
-			Size:      4 * hyperhammer.GiB,
-			BankMasks: hyperhammer.S1BankFunction(),
-			RowShift:  18,
-			RowBits:   14,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "hyperhammer:", err)
-			return 1
-		}
-		hostCfg.Geometry = g
-		hostCfg.Fault = hyperhammer.FaultModel{
-			Seed: *seed, CellsPerRow: 0.02,
-			ThresholdMin: 120_000, ThresholdMax: 400_000,
-			StableFraction: 0.54, FlakyP: 0.35,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-		}
-		hostCfg.BootNoisePages = 2000
-		vmCfg.MemSize = 3584 * hyperhammer.MiB
-		vmCfg.BootSplits = 150
-		attackCfg.HostMemBits = 32
-		attackCfg.IOVAMappings = 6000
-		attackCfg.TargetBits = 3
-		budget = 250
-		scale = "short"
+		scale, budget = hyperhammer.ShortScale, 250
 	}
+	s1 := hyperhammer.GetScenario(hyperhammer.SystemS1, scale)
+	hostCfg := s1.HostConfig(*seed)
+	vmCfg := s1.VM
+	attackCfg := s1.AttackConfig()
 	if *attempts > 0 {
 		budget = *attempts
 	}
@@ -124,11 +98,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the campaign is still running (Load() == nil until it finishes).
 	var hostSched atomic.Pointer[hyperhammer.HostSchedule]
 	rn.Describe(func() *hyperhammer.RunArtifact {
-		a := hyperhammer.NewRunArtifact("hyperhammer", *seed, scale)
+		a := hyperhammer.NewRunArtifact("hyperhammer", *seed, scale.String())
 		a.Config["short"] = strconv.FormatBool(*short)
 		a.Config["attempts"] = strconv.Itoa(budget)
 		a.Config["hammer-rounds"] = strconv.Itoa(attackCfg.HammerRounds)
-		a.Config["parallel"] = strconv.Itoa(*parallel)
 		a.Config["geometry"] = hostCfg.Geometry.Name
 		if res := campaignRes; res != nil {
 			a.Outcome["attempts"] = float64(len(res.Attempts))
@@ -182,14 +155,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	log.Info("secret planted in host kernel memory",
 		"hpa", fmt.Sprintf("%#x", uint64(secretHPA)))
 	log.Info("attacker VM configured",
-		"memMiB", vmCfg.MemSize/hyperhammer.MiB, "vfioGroups", 1, "viommu", true)
+		"memMiB", vmCfg.MemSize/hyperhammer.MiB, "vfioGroups", vmCfg.VFIOGroups, "viommu", true)
 
 	// The single campaign runs as a one-unit batch through the same
-	// timed scheduler hh-tables uses: with one unit the pool clamps to
-	// one worker and takes the sequential fast path, so execution is
-	// identical to a direct call — but the run lands in the host-cost
-	// plane (/api/plan, the artifact's plan section, -chrome-trace).
-	sc, err := sched.New(*parallel).RunTimed([]sched.Unit{{
+	// timed scheduler hh-tables uses: with one unit the pool takes the
+	// sequential fast path, so execution is identical to a direct call
+	// — but the run lands in the host-cost plane (/api/plan, the
+	// artifact's plan section, -chrome-trace).
+	sc, err := sched.New(1).RunTimed([]sched.Unit{{
 		Name: "campaign",
 		Run: func() (any, error) {
 			return hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{

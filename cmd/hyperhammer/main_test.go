@@ -46,7 +46,6 @@ func TestFlagsGolden(t *testing.T) {
 		"-obs string",
 		"-obs-hold duration",
 		"-obs-sample duration 1s",
-		"-parallel int 1",
 		"-seed uint",
 		"-short",
 		"-store string",

@@ -6,7 +6,8 @@
 // extracts the credential straight out of the victim VM's memory
 // through host physical addresses.
 //
-// Runs at a reduced 4 GiB scale so the campaign lands in seconds.
+// Runs on the short-scale S1 machine (a 4 GiB host) so the campaign
+// lands in seconds.
 package main
 
 import (
@@ -17,33 +18,16 @@ import (
 )
 
 func main() {
-	geo, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
-		Name:      "cloud-host-4G (i3-10100 bank function)",
-		Size:      4 * hyperhammer.GiB,
-		BankMasks: hyperhammer.S1BankFunction(),
-		RowShift:  18,
-		RowBits:   14,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	hostCfg := hyperhammer.S1(9)
-	hostCfg.Geometry = geo
-	hostCfg.Fault = hyperhammer.FaultModel{
-		Seed: 9, CellsPerRow: 0.02,
-		ThresholdMin: 120_000, ThresholdMax: 400_000,
-		StableFraction: 0.54, FlakyP: 0.35,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-	}
-	hostCfg.BootNoisePages = 2000
-	host, err := hyperhammer.NewHost(hostCfg)
+	cloud := hyperhammer.GetScenario(hyperhammer.SystemS1, hyperhammer.ShortScale)
+	host, err := hyperhammer.NewHost(cloud.HostConfig(9))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The victim tenant: a small VM that writes a credential into its
 	// own memory. It never interacts with the attacker.
-	victimVM, err := host.CreateVM(hyperhammer.VMConfig{MemSize: 256 * hyperhammer.MiB})
+	const victimMem = 256 * hyperhammer.MiB
+	victimVM, err := host.CreateVM(hyperhammer.VMConfig{MemSize: victimMem})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,16 +48,14 @@ func main() {
 	}
 	fmt.Printf("victim VM stored its credential (physically at HPA %#x, unknown to the attacker)\n", credHPA)
 
-	// The attacker tenant: most of the remaining host memory, one
-	// VFIO device with vIOMMU.
-	attackCfg := hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction())
-	attackCfg.HostMemBits = 32
-	attackCfg.IOVAMappings = 6000
-	attackCfg.TargetBits = 3
+	// The attacker tenant: the scenario's VM, one VFIO device with
+	// vIOMMU, less the memory the victim already holds.
+	attackerVM := cloud.VM
+	attackerVM.MemSize -= victimMem
 
 	res, err := hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{
-		Attack:             attackCfg,
-		VM:                 hyperhammer.VMConfig{MemSize: 3328 * hyperhammer.MiB, VFIOGroups: 1, BootSplits: 150},
+		Attack:             cloud.AttackConfig(),
+		VM:                 attackerVM,
 		MaxAttempts:        300,
 		StopAtFirstSuccess: true,
 		VerifyHPA:          credHPA,

@@ -14,20 +14,18 @@ import (
 )
 
 func main() {
-	// A 16 GiB Intel i3-10100 host with KVM defaults: THP on, the
-	// iTLB-Multihit NX-hugepage countermeasure on, stock QEMU.
-	host, err := hyperhammer.NewHost(hyperhammer.S1(1))
+	// The paper's S1 machine: a 16 GiB Intel i3-10100 host with KVM
+	// defaults — THP on, the iTLB-Multihit NX-hugepage countermeasure
+	// on, stock QEMU.
+	s1 := hyperhammer.GetScenario(hyperhammer.SystemS1, hyperhammer.FullScale)
+	host, err := hyperhammer.NewHost(s1.HostConfig(1))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The attacker is an ordinary cloud tenant: a 13 GiB VM with one
 	// passed-through NIC (VFIO + vIOMMU), as in Section 3.
-	vm, err := host.CreateVM(hyperhammer.VMConfig{
-		MemSize:    13 * hyperhammer.GiB,
-		VFIOGroups: 1,
-		BootSplits: 500,
-	})
+	vm, err := host.CreateVM(s1.VM)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,7 +33,7 @@ func main() {
 
 	// The attacker knows the CPU model, so it knows the DRAM bank
 	// function (recovered offline with DRAMDig, Section 5.1).
-	cfg := hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction())
+	cfg := s1.AttackConfig()
 	cfg.StopAfterExploitable = cfg.TargetBits // stop profiling at 12 usable bits
 
 	// Step 1: memory profiling (Section 4.1).
@@ -74,5 +72,5 @@ func main() {
 		return
 	}
 	fmt.Printf("attempt failed (expected: per-attempt success bound is 1/%.0f); the full attack respawns and retries\n",
-		hyperhammer.ExpectedAttempts(13*hyperhammer.GiB, 16*hyperhammer.GiB))
+		hyperhammer.ExpectedAttempts(s1.VM.MemSize, s1.Backend.Geometry.Size))
 }

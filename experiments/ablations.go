@@ -59,17 +59,17 @@ func (p *Plan) AblationSidedness() *Future[*SidednessResult] {
 }
 
 func sidednessRun(o Options) (*SidednessResult, error) {
-	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	sp := shortS1()
+	h, err := o.newHost(sp)
 	if err != nil {
 		return nil, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1})
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sp.VM.MemSize, VFIOGroups: 1})
 	if err != nil {
 		return nil, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, SystemS1)
+	cfg := sp.AttackConfig()
 	prof, err := attack.Profile(gos, cfg)
 	if err != nil {
 		return nil, err
@@ -177,12 +177,12 @@ func (p *Plan) AblationSpraySize() *Future[*SprayAblationResult] {
 // steerOnce runs the Table 2 workload once at short scale with
 // explicit knobs. sprayPages 0 means "the whole buffer".
 func steerOnce(o Options, exhaust bool, blocks, sprayPages int) (Table2Row, error) {
-	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	sp := shortS1()
+	h, err := o.newHost(sp)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1})
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sp.VM.MemSize, VFIOGroups: 1})
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -195,7 +195,7 @@ func steerOnce(o Options, exhaust bool, blocks, sprayPages int) (Table2Row, erro
 	}
 	if exhaust {
 		iova := memdef.IOVA(0x1_0000_0000)
-		for m := 0; m < sc.iovaMaps; m++ {
+		for m := 0; m < sp.Attacker.IOVAMappings; m++ {
 			if err := gos.MapDMA(0, iova, base); err != nil {
 				return Table2Row{}, err
 			}
@@ -297,29 +297,21 @@ func (p *Plan) AblationTHP() *Future[*THPAblationResult] {
 
 // thpRun profiles one host and samples low-21-bit preservation.
 func thpRun(o Options, thp bool) (thpOutcome, error) {
-	sc := shortScale()
-	// A small slice of the machine keeps the THP-off run (which
-	// backs 512 pages per chunk individually) affordable.
-	vmSize := uint64(512 * memdef.MiB)
-	cfg := kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          sc.fault(SystemS1, o.Seed),
-		THP:            thp,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		Seed:           o.Seed,
-		Planes:         o.Planes,
-	}
-	h, err := kvm.NewHost(cfg)
+	sp := shortS1()
+	sp.Backend.THP = thp
+	sp.Backend.BootNoisePages = 500
+	h, err := o.newHost(sp)
 	if err != nil {
 		return thpOutcome{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: vmSize, VFIOGroups: 1})
+	// A small slice of the machine keeps the THP-off run (which
+	// backs 512 pages per chunk individually) affordable.
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: 512 * memdef.MiB, VFIOGroups: 1})
 	if err != nil {
 		return thpOutcome{}, err
 	}
 	gos := guest.Boot(vm)
-	acfg := attackConfig(sc, SystemS1)
+	acfg := sp.AttackConfig()
 	prof, err := attack.Profile(gos, acfg)
 	if err != nil {
 		return thpOutcome{}, err

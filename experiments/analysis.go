@@ -7,6 +7,7 @@ import (
 	"hyperhammer/internal/attack"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/report"
+	"hyperhammer/internal/scenario"
 )
 
 // AnalysisResult reproduces the closed-form analyses of Sections 5.3.1
@@ -51,7 +52,8 @@ func (r *AnalysisResult) Table() *report.Table {
 // analysisMem returns the (guest, host) sizes the bound is evaluated
 // at: the paper's 13 GiB VM on a 16 GiB host.
 func analysisMem() (uint64, uint64) {
-	return uint64(13 * memdef.GiB), uint64(16 * memdef.GiB)
+	sp := scenario.Get(SystemS1, scenario.Full)
+	return sp.VM.MemSize, sp.Backend.Geometry.Size
 }
 
 // analysisMCConfig parameterizes the Monte-Carlo cross-check.

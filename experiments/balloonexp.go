@@ -96,14 +96,14 @@ func (p *Plan) Balloon() *Future[*BalloonResult] {
 }
 
 func balloonRun(o Options, drain bool) (BalloonRow, error) {
-	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	sp := shortS1()
+	h, err := o.newHost(sp)
 	if err != nil {
 		return BalloonRow{}, err
 	}
 	// No VFIO: the balloon scenario's defining condition. Guest
 	// memory is MIGRATE_MOVABLE.
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize})
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sp.VM.MemSize})
 	if err != nil {
 		return BalloonRow{}, err
 	}

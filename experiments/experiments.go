@@ -12,12 +12,10 @@
 package experiments
 
 import (
-	"time"
-
-	"hyperhammer/internal/dram"
+	"hyperhammer/internal/hostload"
 	"hyperhammer/internal/kvm"
-	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/obs"
+	"hyperhammer/internal/scenario"
 	"hyperhammer/internal/telemetry"
 )
 
@@ -55,165 +53,53 @@ type Options struct {
 func DefaultOptions() Options { return Options{Seed: 1} }
 
 // System identifies one evaluation setup.
-type System int
+type System = scenario.System
 
-// The paper's three systems (Section 5).
+// The paper's three systems (Section 5); see internal/scenario.
 const (
-	// SystemS1 is the Intel Core i3-10100 host with plain KVM.
-	SystemS1 System = iota
-	// SystemS2 is the Intel Xeon E3-2124 host with plain KVM.
-	SystemS2
-	// SystemS3 is the S1 hardware running single-node OpenStack.
-	SystemS3
+	SystemS1 = scenario.S1
+	SystemS2 = scenario.S2
+	SystemS3 = scenario.S3
 )
 
-// String returns the paper's name for the system.
-func (s System) String() string {
-	switch s {
-	case SystemS1:
-		return "S1"
-	case SystemS2:
-		return "S2"
-	case SystemS3:
-		return "S3"
-	default:
-		return "S?"
-	}
-}
-
-// scale bundles the machine dimensions an experiment runs at.
-type scale struct {
-	geometry    func(System) *dram.Geometry
-	fault       func(System, uint64) dram.FaultModelConfig
-	hostNoise   func(System) int
-	vmSize      uint64
-	profileSize uint64
-	iovaMaps    int
-	targetBits  int
-	hostMemBits uint
-	bootSplits  int
-}
-
-// fullScale is the paper's configuration: 16 GiB hosts, 13 GiB VM,
-// 12 GiB profiled, 60,000 exhaustion mappings, 12 target bits.
-func fullScale() scale {
-	return scale{
-		geometry: func(s System) *dram.Geometry {
-			if s == SystemS2 {
-				return dram.XeonE32124()
-			}
-			return dram.CoreI310100()
-		},
-		fault: func(s System, seed uint64) dram.FaultModelConfig {
-			if s == SystemS2 {
-				return dram.S2FaultModel(seed)
-			}
-			return dram.S1FaultModel(seed)
-		},
-		hostNoise: func(s System) int {
-			switch s {
-			case SystemS2:
-				return 34000
-			case SystemS3:
-				return 12000 // plus the OpenStack workload's noise
-			default:
-				return 30000
-			}
-		},
-		vmSize:      13 * memdef.GiB,
-		profileSize: 12 * memdef.GiB,
-		iovaMaps:    60000,
-		targetBits:  12,
-		hostMemBits: 34,
-		bootSplits:  500,
-	}
-}
-
-// shortScale is a 4 GiB host / 3.5 GiB VM variant with a denser fault
-// model so CI runs exercise the same dynamics in seconds.
-func shortScale() scale {
-	small := func(s System) *dram.Geometry {
-		masks := dram.CoreI310100().BankMasks
-		if s == SystemS2 {
-			masks = dram.XeonE32124().BankMasks
-		}
-		return dram.MustGeometry(dram.Geometry{
-			Name:      "short-4G (" + s.String() + ")",
-			Size:      4 * memdef.GiB,
-			BankMasks: masks,
-			RowShift:  18,
-			RowBits:   14,
-		})
-	}
-	return scale{
-		geometry: small,
-		fault: func(s System, seed uint64) dram.FaultModelConfig {
-			cfg := dram.FaultModelConfig{
-				Seed: seed, CellsPerRow: 0.02,
-				ThresholdMin: 120_000, ThresholdMax: 400_000,
-				StableFraction: 0.54, FlakyP: 0.35,
-				NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-			}
-			if s == SystemS2 {
-				cfg.CellsPerRow = 0.05
-				cfg.StableFraction = 0.1
-			}
-			return cfg
-		},
-		hostNoise: func(s System) int {
-			if s == SystemS3 {
-				return 3000
-			}
-			return 2000
-		},
-		vmSize:      3584 * memdef.MiB,
-		profileSize: 3 * memdef.GiB,
-		iovaMaps:    6000,
-		targetBits:  3,
-		hostMemBits: 32,
-		bootSplits:  150,
-	}
-}
-
-func (o Options) scale() scale {
+// spec returns one system's machine at the run's scale.
+func (o Options) spec(sys System) scenario.Spec {
 	if o.Short {
-		return shortScale()
+		return scenario.Get(sys, scenario.Short)
 	}
-	return fullScale()
+	return scenario.Get(sys, scenario.Full)
 }
 
-// newHost boots a host for one system at the chosen scale, attaching
-// the OpenStack workload for S3.
-func (o Options) newHost(sys System) (*kvm.Host, error) {
-	h, err := o.newHostAt(o.scale(), sys)
+// shortS1 is the machine the mechanism studies run on whatever the
+// run's scale: each isolates a mechanism rather than reproducing a
+// paper number.
+func shortS1() scenario.Spec { return scenario.Get(SystemS1, scenario.Short) }
+
+// hostConfig is a spec's host for this run: the fault model draws from
+// the run seed, the host's own randomness from the seed and the system,
+// and the host records into the unit's planes.
+func (o Options) hostConfig(sp scenario.Spec) kvm.Config {
+	cfg := sp.HostConfig(o.Seed)
+	cfg.Seed = o.Seed ^ uint64(sp.System)<<32
+	cfg.Planes = o.Planes
+	// Intra-host parallelism rides the same -parallel knob as the
+	// experiment engine: the DRAM module shards its batched per-bank
+	// pass without perturbing any deterministic stream.
+	cfg.DRAMShardWorkers = o.Parallel
+	return cfg
+}
+
+// newHost boots a spec's host and starts its background load (S3's
+// OpenStack workload).
+func (o Options) newHost(sp scenario.Spec) (*kvm.Host, error) {
+	h, err := kvm.NewHost(o.hostConfig(sp))
 	if err != nil {
 		return nil, err
 	}
-	if sys == SystemS3 {
-		if err := attachS3Load(h, o); err != nil {
+	if sp.Backend.Load != nil {
+		if _, err := hostload.Attach(h.Buddy, *sp.Backend.Load, o.Seed^0x53); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
 }
-
-// newHostAt boots a host for one system at an explicit scale (used
-// directly by comparisons that always run small).
-func (o Options) newHostAt(sc scale, sys System) (*kvm.Host, error) {
-	return kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(sys),
-		Fault:          sc.fault(sys, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: sc.hostNoise(sys),
-		Seed:           o.Seed ^ uint64(sys)<<32,
-		Planes:         o.Planes,
-		// Intra-host parallelism rides the same -parallel knob as the
-		// experiment engine: the DRAM module shards its batched
-		// per-bank pass without perturbing any deterministic stream.
-		DRAMShardWorkers: o.Parallel,
-	})
-}
-
-// Durations below are shared formatting helpers.
-func hours(d time.Duration) float64 { return d.Hours() }

@@ -10,6 +10,7 @@ import (
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/mitigation"
 	"hyperhammer/internal/report"
+	"hyperhammer/internal/scenario"
 	"hyperhammer/internal/virtio"
 	"hyperhammer/internal/xenlite"
 )
@@ -69,10 +70,7 @@ func (p *Plan) DRAMDig() *Future[*DRAMDigResult] {
 
 // dramdigRun recovers and verifies one system's bank function.
 func dramdigRun(o Options, sys System) (DRAMDigRow, error) {
-	geo := dram.CoreI310100()
-	if sys == SystemS2 {
-		geo = dram.XeonE32124()
-	}
+	geo := scenario.Get(sys, scenario.Full).Backend.Geometry
 	timing := dram.NewTiming(geo, o.Seed^0xD1)
 	cfg := dramdig.DefaultConfig(geo.Size)
 	cfg.Seed = o.Seed ^ 0xD2
@@ -164,28 +162,19 @@ func (p *Plan) Mitigation() *Future[*MitigationResult] {
 // mitigationRun boots one host (quarantined when guarded), attempts
 // the malicious releases, then an honest resize.
 func mitigationRun(o Options, guarded bool) (mitigationOutcome, error) {
-	sc := o.scale()
-	var guard virtio.Guard
+	sp := o.spec(SystemS1)
+	sp.Backend.BootNoisePages = 1000
+	cfg := o.hostConfig(sp)
 	if guarded {
 		// Built from the unit's own trace so quarantine events land in
 		// the owning unit's span stream.
-		guard, _ = mitigation.Traced(o.Trace)
-	}
-	cfg := kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          sc.fault(SystemS1, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 1000,
-		Seed:           o.Seed,
-		Quarantine:     guard,
-		Planes:         o.Planes,
+		cfg.Quarantine, _ = mitigation.Traced(o.Trace)
 	}
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return mitigationOutcome{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize / 2, VFIOGroups: 1})
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sp.VM.MemSize / 2, VFIOGroups: 1})
 	if err != nil {
 		return mitigationOutcome{}, err
 	}
@@ -294,12 +283,12 @@ func xenHeapRun() ([2]int, error) {
 
 // xenKVMRun measures the same shape on KVM, but skips exhaustion.
 func xenKVMRun(o Options) ([2]int, error) {
-	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	sp := shortS1()
+	h, err := o.newHost(sp)
 	if err != nil {
 		return [2]int{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1})
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sp.VM.MemSize, VFIOGroups: 1})
 	if err != nil {
 		return [2]int{}, err
 	}

@@ -85,16 +85,11 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		TRR: trr,
 	}
-	sc := shortScale()
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          fault,
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		Seed:           o.Seed,
-		Planes:         o.Planes,
-	})
+	sp := shortS1()
+	sp.Backend.BootNoisePages = 500
+	cfg := o.hostConfig(sp)
+	cfg.Fault = fault
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +99,7 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 	}
 	gos := guest.Boot(vm)
 	results, err := hammer.Search(gos, hammer.Config{
-		BankMasks: sc.geometry(SystemS1).BankMasks,
+		BankMasks: sp.Backend.Geometry.BankMasks,
 		RowShift:  18,
 		Hugepages: 96,
 		Repeats:   2,
@@ -200,19 +195,12 @@ func (p *Plan) ECC() *Future[*ECCResult] {
 
 // eccRun runs the profiling budget on one host.
 func eccRun(o Options, ecc bool) (eccOutcome, error) {
-	sc := shortScale()
-	fault := sc.fault(SystemS1, o.Seed)
-	fault.CellsPerRow = 0.1 // dense enough to see the contrast quickly
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          fault,
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		ECC:            ecc,
-		Seed:           o.Seed,
-		Planes:         o.Planes,
-	})
+	sp := shortS1()
+	sp.Backend.Fault.CellsPerRow = 0.1 // dense enough to see the contrast quickly
+	sp.Backend.BootNoisePages = 500
+	cfg := o.hostConfig(sp)
+	cfg.ECC = ecc
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return eccOutcome{}, err
 	}
@@ -221,8 +209,7 @@ func eccRun(o Options, ecc bool) (eccOutcome, error) {
 		return eccOutcome{}, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, SystemS1)
-	prof, err := attack.Profile(gos, cfg)
+	prof, err := attack.Profile(gos, sp.AttackConfig())
 	if err != nil && !ecc {
 		return eccOutcome{}, err
 	}
@@ -304,17 +291,12 @@ func (p *Plan) Multihit() *Future[*MultihitResult] {
 // multihitRun measures one host: exec in every hugepage, then attempt
 // the Multihit DoS.
 func multihitRun(o Options, mitigated bool) (multihitOutcome, error) {
-	sc := shortScale()
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:           sc.geometry(SystemS1),
-		Fault:              sc.fault(SystemS1, o.Seed),
-		THP:                true,
-		NXHugepages:        mitigated,
-		MultihitBugPresent: true,
-		BootNoisePages:     500,
-		Seed:               o.Seed,
-		Planes:             o.Planes,
-	})
+	sp := shortS1()
+	sp.Backend.NXHugepages = mitigated
+	sp.Backend.BootNoisePages = 500
+	cfg := o.hostConfig(sp)
+	cfg.MultihitBugPresent = true
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return multihitOutcome{}, err
 	}

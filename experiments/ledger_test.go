@@ -12,10 +12,12 @@ import (
 
 // ledgerRun executes a small plan with a determinism ledger attached
 // at the given worker count and returns the marshaled snapshot —
-// exactly the bytes a run artifact's ledger section would embed. Its
-// experiments boot hosts through every path: newHost (Table 1,
-// Figure 3), newHostAt (the sidedness ablation) and a hand-built host config
-// (the THP ablation).
+// exactly the bytes a run artifact's ledger section would embed. Every
+// host boots through the one path, newHost over a scenario spec; the
+// units cover each kind of spec it gets: the run-scale machines with
+// S3's background load (Table 1, Figure 3), the short S1 the mechanism
+// studies use at any scale (the sidedness ablation) and a short S1
+// with one backend field changed (the THP ablation).
 func ledgerRun(t *testing.T, parallel int) []byte {
 	t.Helper()
 	o := shortOpts()

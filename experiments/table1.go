@@ -5,8 +5,6 @@ import (
 
 	"hyperhammer/internal/attack"
 	"hyperhammer/internal/guest"
-	"hyperhammer/internal/hostload"
-	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/report"
 )
@@ -62,18 +60,18 @@ func (p *Plan) Table1() *Future[*Table1Result] {
 }
 
 func profileSystem(o Options, sys System) (Table1Row, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+	sp := o.spec(sys)
+	h, err := o.newHost(sp)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits})
+	vm, err := h.CreateVM(sp.VM)
 	if err != nil {
 		return Table1Row{}, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, sys)
-	cfg.ProfileHugepages = int(sc.profileSize / memdef.HugePageSize)
+	cfg := sp.AttackConfig()
+	cfg.ProfileHugepages = int(sp.Attacker.ProfileSize / memdef.HugePageSize)
 	// Nest the attack phases under a per-system span so a cost profile
 	// of this run attributes simulated time to S1 and S2 separately
 	// (paths like "table1.S1;attack.profile").
@@ -95,27 +93,4 @@ func profileSystem(o Options, sys System) (Table1Row, error) {
 		Exploitable: prof.Exploitable,
 		HammerOps:   prof.HammerOps,
 	}, nil
-}
-
-// attackConfig builds the attacker configuration for one system at a
-// scale, using the bank function the attacker recovered offline.
-func attackConfig(sc scale, sys System) attack.Config {
-	cfg := attack.DefaultConfig(sc.geometry(sys).BankMasks)
-	cfg.HostMemBits = sc.hostMemBits
-	cfg.IOVAMappings = sc.iovaMaps
-	cfg.TargetBits = sc.targetBits
-	return cfg
-}
-
-// attachS3Load puts the OpenStack workload on a host (Figure 3b's
-// starting condition).
-func attachS3Load(h *kvm.Host, o Options) error {
-	p := hostload.OpenStack()
-	if o.Short {
-		p.ExtraNoisePages = 6000
-		p.ChurnHeld = 512
-		p.ChurnPerTick = 32
-	}
-	_, err := hostload.Attach(h.Buddy, p, o.Seed^0x53)
-	return err
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hyperhammer/internal/guest"
-	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/report"
 )
@@ -60,33 +59,6 @@ func (r *Table2Result) Table() *report.Table {
 	return t
 }
 
-// table2Settings returns the paper's (S, B) grid.
-func table2Settings(sc scale) []struct {
-	spray  uint64
-	blocks int
-} {
-	if sc.vmSize < 13*memdef.GiB {
-		// Short scale: proportional settings.
-		g := sc.vmSize / 4
-		return []struct {
-			spray  uint64
-			blocks int
-		}{
-			{1 * g, 24}, {2 * g, 24}, {2 * g, 16}, {2 * g, 8}, {2 * g, 4},
-		}
-	}
-	return []struct {
-		spray  uint64
-		blocks int
-	}{
-		{5 * memdef.GiB, 100},
-		{10 * memdef.GiB, 100},
-		{10 * memdef.GiB, 70},
-		{10 * memdef.GiB, 30},
-		{10 * memdef.GiB, 20},
-	}
-}
-
 // Table2 reproduces the Table 2 experiment on all three systems: for
 // each (S, B) setting, exhaust the host's noise pages through vIOMMU,
 // release B page blocks through the modified virtio-mem driver,
@@ -103,8 +75,8 @@ func (p *Plan) Table2() *Future[*Table2Result] {
 	f := &Future[*Table2Result]{}
 	res := &Table2Result{}
 	for _, sys := range []System{SystemS1, SystemS2, SystemS3} {
-		for _, setting := range table2Settings(p.o.scale()) {
-			sys, spray, blocks := sys, setting.spray, setting.blocks
+		for _, cell := range p.o.spec(sys).Attacker.Table2 {
+			sys, spray, blocks := sys, cell.Spray, cell.Blocks
 			addTyped(p, fmt.Sprintf("table2.%s.S%d.B%d", sys, spray, blocks),
 				func(o Options) (Table2Row, error) {
 					row, err := table2Run(o, sys, spray, blocks)
@@ -122,12 +94,12 @@ func (p *Plan) Table2() *Future[*Table2Result] {
 
 // table2Run performs one steering measurement on a fresh host.
 func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+	sp := o.spec(sys)
+	h, err := o.newHost(sp)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits})
+	vm, err := h.CreateVM(sp.VM)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -142,7 +114,7 @@ func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row,
 
 	// Step 1: exhaust noise pages (Section 4.2.1).
 	iova := memdef.IOVA(0x1_0000_0000)
-	for m := 0; m < sc.iovaMaps; m++ {
+	for m := 0; m < sp.Attacker.IOVAMappings; m++ {
 		if err := gos.MapDMA(0, iova, base); err != nil {
 			return Table2Row{}, err
 		}

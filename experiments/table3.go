@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hyperhammer/internal/attack"
-	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/report"
 )
 
@@ -83,15 +82,15 @@ func (p *Plan) Table3() *Future[*Table3Result] {
 }
 
 func table3Run(o Options, sys System) (Table3Row, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+	sp := o.spec(sys)
+	h, err := o.newHost(sp)
 	if err != nil {
 		return Table3Row{}, err
 	}
 	const magic = 0x48595045_52484d52 // "HYPERHMR"
 	secret := h.PlantSecret(magic)
 
-	cfg := attackConfig(sc, sys)
+	cfg := sp.AttackConfig()
 	maxAttempts := o.MaxAttempts
 	if maxAttempts == 0 {
 		maxAttempts = 600
@@ -105,7 +104,7 @@ func table3Run(o Options, sys System) (Table3Row, error) {
 	cfg.Span = span
 	campaign, err := attack.RunCampaign(h, attack.CampaignConfig{
 		Attack:             cfg,
-		VM:                 kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits},
+		VM:                 sp.VM,
 		MaxAttempts:        maxAttempts,
 		StopAtFirstSuccess: true,
 		VerifyHPA:          secret,

@@ -57,7 +57,7 @@ func (r *VMSizeResult) Table() *report.Table {
 // the case that the VM is relatively small, the attack is likely to
 // be much longer".
 func VMSize(o Options) *VMSizeResult {
-	hostMem := uint64(16 * memdef.GiB)
+	_, hostMem := analysisMem()
 	res := &VMSizeResult{HostMem: hostMem}
 	// The paper's S1 profiling economics: a full 12 GiB profile takes
 	// 72 h and yields 96 exploitable bits; steering, exploitation and

@@ -11,12 +11,11 @@
 // countermeasure, virtio-mem, VFIO/vIOMMU — and runs the paper's
 // attack, unchanged in structure, against it:
 //
-//	host, _ := hyperhammer.NewHost(hyperhammer.S1(1))
-//	vm, _ := host.CreateVM(hyperhammer.VMConfig{
-//		MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1,
-//	})
+//	s1 := hyperhammer.GetScenario(hyperhammer.SystemS1, hyperhammer.FullScale)
+//	host, _ := hyperhammer.NewHost(s1.HostConfig(1))
+//	vm, _ := host.CreateVM(s1.VM)
 //	gos := hyperhammer.BootGuest(vm)
-//	cfg := hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction())
+//	cfg := s1.AttackConfig()
 //	prof, _ := hyperhammer.Profile(gos, cfg)
 //	steer, _ := hyperhammer.PageSteer(gos, cfg, prof.Buffer, prof.ExploitableBits(12))
 //	expl, _ := hyperhammer.Exploit(gos, cfg, prof.Buffer, steer)
@@ -36,7 +35,6 @@ package hyperhammer
 import (
 	"hyperhammer/internal/attack"
 	"hyperhammer/internal/balloon"
-	"hyperhammer/internal/buddy"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/dramdig"
 	"hyperhammer/internal/forensics"
@@ -55,6 +53,7 @@ import (
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
+	"hyperhammer/internal/scenario"
 	"hyperhammer/internal/sched"
 	"hyperhammer/internal/trace"
 	"hyperhammer/internal/virtio"
@@ -339,38 +338,41 @@ type TrendReport = runstore.Report
 // BootGuest starts the guest OS runtime on a VM.
 func BootGuest(vm *VM) *GuestOS { return guest.Boot(vm) }
 
+// Scenario is one of the paper's machines at one scale (see
+// internal/scenario): the host backend, the tenant VM frontend and the
+// attacker's budget, ready for NewHost, CreateVM and the attack steps.
+type Scenario = scenario.Spec
+
+// System and Scale pick a Scenario.
+type (
+	System = scenario.System
+	Scale  = scenario.Scale
+)
+
+// The paper's systems and the two scales.
+const (
+	SystemS1, SystemS2, SystemS3 = scenario.S1, scenario.S2, scenario.S3
+	FullScale, ShortScale        = scenario.Full, scenario.Short
+)
+
+// GetScenario returns one system's scenario at one scale.
+func GetScenario(sys System, sc Scale) Scenario { return scenario.Get(sys, sc) }
+
 // S1 returns the configuration of evaluation machine S1: Intel Core
 // i3-10100, 16 GiB DDR4-2666, THP and NX-hugepages on, plain KVM.
-func S1(seed uint64) HostConfig {
-	return HostConfig{
-		Geometry:       dram.CoreI310100(),
-		Fault:          dram.S1FaultModel(seed),
-		Buddy:          buddy.DefaultConfig(),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 30000,
-		Seed:           seed,
-	}
-}
+func S1(seed uint64) HostConfig { return scenario.Get(scenario.S1, scenario.Full).HostConfig(seed) }
 
 // S2 returns the configuration of machine S2: Intel Xeon E3-2124 with
 // the same DIMMs and software stack.
-func S2(seed uint64) HostConfig {
-	cfg := S1(seed)
-	cfg.Geometry = dram.XeonE32124()
-	cfg.Fault = dram.S2FaultModel(seed)
-	cfg.BootNoisePages = 34000
-	return cfg
-}
+func S2(seed uint64) HostConfig { return scenario.Get(scenario.S2, scenario.Full).HostConfig(seed) }
 
 // S3 returns the configuration of machine S3: the S1 hardware running
 // a single-node OpenStack (DevStack) deployment. Attach the returned
 // workload profile with AttachWorkload to reproduce S3's much higher
 // noise level (Figure 3b).
 func S3(seed uint64) (HostConfig, HostWorkload) {
-	cfg := S1(seed)
-	cfg.BootNoisePages = 12000 // base host noise; OpenStack adds the rest
-	return cfg, hostload.OpenStack()
+	sp := scenario.Get(scenario.S3, scenario.Full)
+	return sp.HostConfig(seed), *sp.Backend.Load
 }
 
 // AttachWorkload starts a background host workload (e.g. the S3

@@ -32,8 +32,7 @@ import (
 
 // Config describes one host machine.
 type Config struct {
-	// Geometry is the DRAM addressing model (nil selects the S1
-	// machine, Intel Core i3-10100 with 16 GiB).
+	// Geometry is the DRAM addressing model (required).
 	Geometry *dram.Geometry
 	// Fault is the Rowhammer fault model of the installed DIMMs.
 	Fault dram.FaultModelConfig
@@ -93,21 +92,6 @@ type Config struct {
 	// results are byte-identical to the sequential pass at any worker
 	// count (dram.TestHammerBatchSharded pins this).
 	DRAMShardWorkers int
-}
-
-// DefaultConfig returns an S1-like host: i3-10100 geometry, S1 fault
-// model, THP and the multihit countermeasure enabled, stock QEMU
-// (no quarantine).
-func DefaultConfig() Config {
-	return Config{
-		Geometry:       dram.CoreI310100(),
-		Fault:          dram.S1FaultModel(1),
-		Buddy:          buddy.DefaultConfig(),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 30000,
-		Seed:           1,
-	}
 }
 
 // AppliedFlip records one Rowhammer bit flip that actually changed
