@@ -198,13 +198,17 @@ examples-gate:
 	done
 	@echo "examples-gate: $(words $(EXAMPLES)) examples match their goldens"
 
-# Brief fuzzing pass over the fuzz targets.
+# Brief fuzzing pass over the fuzz targets: the machine's allocators,
+# tables and devices, and the decoders that read an earlier run's
+# artifact and run-history index.
 fuzz:
 	$(GO) test -fuzz=FuzzAllocFreeSequence -fuzztime=20s ./internal/buddy/
 	$(GO) test -fuzz=FuzzEntryRoundTrip -fuzztime=10s ./internal/ept/
 	$(GO) test -fuzz=FuzzTranslateRobustness -fuzztime=20s ./internal/ept/
 	$(GO) test -fuzz=FuzzDeviceProtocol -fuzztime=20s ./internal/virtio/
 	$(GO) test -fuzz=FuzzMemoryOps -fuzztime=20s ./internal/phys/
+	$(GO) test -fuzz=FuzzArtifactRead -fuzztime=20s ./internal/runartifact/
+	$(GO) test -fuzz=FuzzIndexOpen -fuzztime=20s ./internal/runstore/
 
 clean:
 	$(GO) clean ./...

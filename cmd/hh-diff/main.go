@@ -28,70 +28,86 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/runartifact"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hh-diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		tol      = runartifact.DefaultTolerances()
-		all      = flag.Bool("all", false, "print every compared figure, not just those beyond tolerance")
-		simTol   = flag.Float64("sim-tol", tol.SimFrac, "relative tolerance on simulated-time figures")
-		simAbs   = flag.Float64("sim-abs", tol.SimAbs, "absolute tolerance on simulated-time figures (seconds)")
-		countTol = flag.Float64("count-tol", tol.CountFrac, "relative tolerance on counters and outcomes")
-		countAbs = flag.Float64("count-abs", tol.CountAbs, "absolute tolerance on counters and outcomes")
-		benchTol = flag.Float64("bench-tol", tol.BenchFrac, "relative tolerance on benchmark ns/op")
-		hostTol  = flag.Float64("host-tol", tol.HostFrac, "relative tolerance on plan host-time figures (1.0 lists without gating)")
-		hostAbs  = flag.Float64("host-abs", tol.HostAbs, "absolute tolerance on plan host-time figures (seconds)")
+		all      = fs.Bool("all", false, "print every compared figure, not just those beyond tolerance")
+		simTol   = fs.Float64("sim-tol", tol.SimFrac, "relative tolerance on simulated-time figures")
+		simAbs   = fs.Float64("sim-abs", tol.SimAbs, "absolute tolerance on simulated-time figures (seconds)")
+		countTol = fs.Float64("count-tol", tol.CountFrac, "relative tolerance on counters and outcomes")
+		countAbs = fs.Float64("count-abs", tol.CountAbs, "absolute tolerance on counters and outcomes")
+		benchTol = fs.Float64("bench-tol", tol.BenchFrac, "relative tolerance on benchmark ns/op")
+		hostTol  = fs.Float64("host-tol", tol.HostFrac, "relative tolerance on plan host-time figures (1.0 lists without gating)")
+		hostAbs  = fs.Float64("host-abs", tol.HostAbs, "absolute tolerance on plan host-time figures (seconds)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: hh-diff [flags] old.json new.json")
-		flag.PrintDefaults()
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: hh-diff [flags] old.json new.json")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
 	tol.SimFrac, tol.SimAbs = *simTol, *simAbs
 	tol.CountFrac, tol.CountAbs = *countTol, *countAbs
 	tol.BenchFrac = *benchTol
 	tol.HostFrac, tol.HostAbs = *hostTol, *hostAbs
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hh-diff:", err)
+		return 2
+	}
 
-	oldPath, newPath := flag.Arg(0), flag.Arg(1)
+	oldPath, newPath := fs.Arg(0), fs.Arg(1)
 	artOld, benchOld, err := load(oldPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	artNew, benchNew, err := load(newPath)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var d *runartifact.Diff
 	switch {
 	case artOld != nil && artNew != nil:
 		if notice := configNotice(artOld, artNew); notice != "" {
-			fmt.Println(notice)
+			fmt.Fprintln(stdout, notice)
 		}
 		d = runartifact.Compare(artOld, artNew, tol)
 	case benchOld != nil && benchNew != nil:
 		d = runartifact.CompareBench(benchOld, benchNew, tol)
 	default:
-		fatal(fmt.Errorf("%s and %s are different document kinds (artifact vs bench)", oldPath, newPath))
+		return fail(fmt.Errorf("%s and %s are different document kinds (artifact vs bench)", oldPath, newPath))
 	}
 
 	if *all || d.Regressed() {
-		fmt.Print(d.Table(!*all).String())
+		fmt.Fprint(stdout, d.Table(!*all).String())
 	}
-	fmt.Println(d.Summary())
+	fmt.Fprintln(stdout, d.Summary())
 	if d.Regressed() {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // configNotice returns the one-line context printed when the two runs
@@ -149,9 +165,4 @@ func load(path string) (*runartifact.Artifact, *benchfmt.Output, error) {
 		return nil, nil, fmt.Errorf("%s: corrupt bench document: %v", path, err)
 	}
 	return nil, &out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hh-diff:", err)
-	os.Exit(2)
 }

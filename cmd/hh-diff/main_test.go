@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,5 +130,33 @@ func TestConfigNotice(t *testing.T) {
 func TestLoadMissingFile(t *testing.T) {
 	if _, _, err := load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("load succeeded on a missing file")
+	}
+}
+
+// TestAllGolden: `hh-diff -all` of the two committed baselines prints
+// every compared figure exactly as testdata/all-seed4-escape.golden
+// records it, and exits 1 because they differ.
+func TestAllGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-all", "../../testdata/baselines/short-seed4.json", "../../testdata/baselines/short-escape.json"}
+	if code := run(args, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1 (stderr %q)", code, stderr.String())
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "all-seed4-escape.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(want) {
+		t.Errorf("stdout drifted from the golden:\n%s", stdout.String())
+	}
+}
+
+// TestUsageExitsTwo: a wrong argument count or an unknown flag exits 2.
+func TestUsageExitsTwo(t *testing.T) {
+	for _, args := range [][]string{nil, {"only.json"}, {"-no-such-flag", "a", "b"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%q) exit = %d, want 2", args, code)
+		}
 	}
 }

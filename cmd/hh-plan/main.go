@@ -18,108 +18,76 @@
 //	hh-plan -once                        # fetch once, no repaint loop
 //	hh-plan -artifact run.json           # render a saved artifact, exit
 //	hh-plan -width 120                   # wider Gantt/utilization bars
+//
+// Exit status: 0 on success, 1 on an unreadable artifact, one without
+// a plan section, or a failed fetch, 2 on usage errors.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"strings"
 	"time"
 
-	"hyperhammer/internal/profile"
+	"hyperhammer/internal/clirun"
 	"hyperhammer/internal/runartifact"
 )
 
-func main() {
-	url := flag.String("url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
-	interval := flag.Duration("interval", 2*time.Second, "refresh interval in live mode")
-	iterations := flag.Int("iterations", 0, "stop after this many refreshes (0 = until interrupted)")
-	once := flag.Bool("once", false, "fetch and render a single frame without clearing the screen")
-	artifact := flag.String("artifact", "", "render this saved run artifact's plan section and exit (no server needed)")
-	width := flag.Int("width", 72, "chart width in characters")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hh-plan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
+	interval := fs.Duration("interval", 2*time.Second, "refresh interval in live mode")
+	iterations := fs.Int("iterations", 0, "stop after this many refreshes (0 = until interrupted)")
+	once := fs.Bool("once", false, "fetch and render a single frame without clearing the screen")
+	artifact := fs.String("artifact", "", "render this saved run artifact's plan section and exit (no server needed)")
+	width := fs.Int("width", 72, "chart width in characters")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	tool := fs.Name()
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hh-plan:", err)
+		return 1
+	}
 
 	if *artifact != "" {
-		if err := renderArtifact(*artifact, *width); err != nil {
-			fatal(err)
+		a, err := runartifact.ReadFile(*artifact)
+		if err != nil {
+			return fail(err)
 		}
-		return
+		if !a.Carries(tool) {
+			return fail(fmt.Errorf("%s carries no plan section (rerun the producing tool with -artifact on a build with the host-cost plane)", *artifact))
+		}
+		fmt.Fprintf(stdout, "hh-plan -artifact %s  (tool=%s seed=%d scale=%s simSeconds=%.1f)\n\n",
+			*artifact, a.Tool, a.Seed, a.Scale, a.SimSeconds)
+		if err := a.Render(stdout, tool, *width); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 	if *once {
 		*iterations = 1
 	}
-	if err := watch(normalizeURL(*url), *interval, *iterations, *width, *once); err != nil {
-		fatal(err)
-	}
-}
-
-// renderArtifact is the offline path: the artifact's embedded plan
-// section through the same renderer the live view uses (and that
-// hh-inspect's plan subcommand shares).
-func renderArtifact(path string, width int) error {
-	a, err := runartifact.ReadFile(path)
+	// A run that has not finished yet serves a plan with zero units;
+	// that renders as an empty schedule rather than an error, so the
+	// watch can be started before the run.
+	err := clirun.Watch{
+		Tool: tool, URL: *url, Interval: *interval, Iterations: *iterations,
+		Width: *width, Plain: *once,
+		Header: func(base string, _ func(string, any) error) (string, error) {
+			return fmt.Sprintf("hh-plan  %s  (refresh %s)\n\n", base, *interval), nil
+		},
+	}.Run(stdout)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	if a.Plan == nil {
-		return fmt.Errorf("%s carries no plan section (rerun the producing tool with -artifact on a build with the host-cost plane)", path)
-	}
-	fmt.Printf("hh-plan -artifact %s  (tool=%s seed=%d scale=%s simSeconds=%.1f)\n\n",
-		path, a.Tool, a.Seed, a.Scale, a.SimSeconds)
-	return profile.RenderPlan(os.Stdout, a.Plan, width)
-}
-
-// watch polls /api/plan and repaints. A run that has not finished yet
-// serves a plan with zero units; that renders as an empty schedule
-// rather than an error so the watch can be started before the run.
-func watch(base string, interval time.Duration, iterations, width int, plain bool) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	for i := 0; ; i++ {
-		var plan profile.PlanReport
-		if err := getJSON(client, base+"/api/plan", &plan); err != nil {
-			return err
-		}
-		if !plain {
-			// Classic top repaint: clear, home, redraw.
-			fmt.Print("\x1b[2J\x1b[H")
-		}
-		fmt.Printf("hh-plan  %s  (refresh %s)\n\n", base, interval)
-		if err := profile.RenderPlan(os.Stdout, &plan, width); err != nil {
-			return err
-		}
-		if iterations > 0 && i+1 >= iterations {
-			return nil
-		}
-		time.Sleep(interval)
-	}
-}
-
-func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("GET %s: decoding: %w", url, err)
-	}
-	return nil
-}
-
-func normalizeURL(u string) string {
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return strings.TrimRight(u, "/")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hh-plan:", err)
-	os.Exit(1)
+	return 0
 }

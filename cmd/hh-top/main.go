@@ -10,125 +10,76 @@
 //	hh-top -interval 5s                 # refresh cadence
 //	hh-top -iterations 3                # stop after N refreshes
 //	hh-top -once run.json               # render a saved artifact, exit
+//
+// Exit status: 0 on success, 1 on an unreadable artifact, one without
+// the machine sections, or a failed fetch, 2 on usage errors.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
-	"strings"
 	"time"
 
-	"hyperhammer/internal/inspect"
+	"hyperhammer/internal/clirun"
 	"hyperhammer/internal/runartifact"
 )
 
-func main() {
-	url := flag.String("url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
-	interval := flag.Duration("interval", 2*time.Second, "refresh interval in live mode")
-	iterations := flag.Int("iterations", 0, "stop after this many refreshes (0 = until interrupted)")
-	once := flag.String("once", "", "render this saved run artifact once and exit (no server needed)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hh-top", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
+	interval := fs.Duration("interval", 2*time.Second, "refresh interval in live mode")
+	iterations := fs.Int("iterations", 0, "stop after this many refreshes (0 = until interrupted)")
+	once := fs.String("once", "", "render this saved run artifact once and exit (no server needed)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	tool := fs.Name()
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hh-top:", err)
+		return 1
+	}
 
 	if *once != "" {
-		if err := renderArtifact(*once); err != nil {
-			fatal(err)
+		a, err := runartifact.ReadFile(*once)
+		if err != nil {
+			return fail(err)
 		}
-		return
+		fmt.Fprintf(stdout, "hh-top -once %s  (tool=%s seed=%d scale=%s simSeconds=%.1f)\n\n",
+			*once, a.Tool, a.Seed, a.Scale, a.SimSeconds)
+		if !a.Carries(tool) {
+			return fail(fmt.Errorf("%s carries no introspection sections (rerun the producing tool with -obs or -artifact on a build with the inspection plane)", *once))
+		}
+		if err := a.Render(stdout, tool, 0); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
-	if err := watch(normalizeURL(*url), *interval, *iterations); err != nil {
-		fatal(err)
-	}
-}
-
-// renderArtifact is the offline path: the artifact's embedded
-// introspection sections through the same renderers the live view
-// uses (and that hh-inspect's heatmap subcommand shares).
-func renderArtifact(path string) error {
-	a, err := runartifact.ReadFile(path)
+	err := clirun.Watch{
+		Tool: tool, URL: *url, Interval: *interval, Iterations: *iterations,
+		Header: func(base string, get func(string, any) error) (string, error) {
+			var health struct {
+				SimSeconds    float64 `json:"simSeconds"`
+				UptimeSeconds float64 `json:"uptimeSeconds"`
+				BusDropped    uint64  `json:"busDropped"`
+			}
+			if err := get("/healthz", &health); err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("hh-top  %s  sim=%.1fs  uptime=%.0fs  busDropped=%d  (refresh %s)\n\n",
+				base, health.SimSeconds, health.UptimeSeconds, health.BusDropped, *interval), nil
+		},
+	}.Run(stdout)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("hh-top -once %s  (tool=%s seed=%d scale=%s simSeconds=%.1f)\n\n",
-		path, a.Tool, a.Seed, a.Scale, a.SimSeconds)
-	if a.Heatmap == nil && a.Census == nil && a.Alerts == nil {
-		return fmt.Errorf("%s carries no introspection sections (rerun the producing tool with -obs or -artifact on a build with the inspection plane)", path)
-	}
-	if a.Heatmap != nil {
-		fmt.Println(inspect.RenderHeatmap(*a.Heatmap))
-	}
-	if a.Census != nil {
-		fmt.Println(inspect.RenderCensus(*a.Census))
-	}
-	if a.Alerts != nil {
-		fmt.Println(inspect.RenderAlerts(*a.Alerts))
-	}
-	return nil
-}
-
-// watch polls the obs server's introspection endpoints and repaints.
-func watch(base string, interval time.Duration, iterations int) error {
-	client := &http.Client{Timeout: 10 * time.Second}
-	for i := 0; ; i++ {
-		var heat inspect.HeatmapSnapshot
-		var census inspect.CensusSnapshot
-		var alerts inspect.AlertsSnapshot
-		var health struct {
-			SimSeconds    float64 `json:"simSeconds"`
-			UptimeSeconds float64 `json:"uptimeSeconds"`
-			BusDropped    uint64  `json:"busDropped"`
-		}
-		if err := getJSON(client, base+"/api/heatmap", &heat); err != nil {
-			return err
-		}
-		if err := getJSON(client, base+"/api/census", &census); err != nil {
-			return err
-		}
-		if err := getJSON(client, base+"/api/alerts", &alerts); err != nil {
-			return err
-		}
-		if err := getJSON(client, base+"/healthz", &health); err != nil {
-			return err
-		}
-		// Classic top repaint: clear, home, redraw.
-		fmt.Print("\x1b[2J\x1b[H")
-		fmt.Printf("hh-top  %s  sim=%.1fs  uptime=%.0fs  busDropped=%d  (refresh %s)\n\n",
-			base, health.SimSeconds, health.UptimeSeconds, health.BusDropped, interval)
-		fmt.Println(inspect.RenderHeatmap(heat))
-		fmt.Println(inspect.RenderCensus(census))
-		fmt.Println(inspect.RenderAlerts(alerts))
-		if iterations > 0 && i+1 >= iterations {
-			return nil
-		}
-		time.Sleep(interval)
-	}
-}
-
-func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-		return fmt.Errorf("GET %s: decoding: %w", url, err)
-	}
-	return nil
-}
-
-func normalizeURL(u string) string {
-	if !strings.Contains(u, "://") {
-		u = "http://" + u
-	}
-	return strings.TrimRight(u, "/")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hh-top:", err)
-	os.Exit(1)
+	return 0
 }

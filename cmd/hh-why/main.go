@@ -23,67 +23,82 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/runartifact"
 )
 
-func main() {
-	attempt := flag.Int("attempt", 0, "drill into this attempt's full flip lineage (1-based)")
-	unit := flag.String("unit", "", "scope -attempt to this plan unit's campaign (empty: first match)")
-	asJSON := flag.Bool("json", false, "emit the raw forensics snapshot as JSON")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: hh-why [-attempt N [-unit NAME]] [-json] artifact.json")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hh-why", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	attempt := fs.Int("attempt", 0, "drill into this attempt's full flip lineage (1-based)")
+	unit := fs.String("unit", "", "scope -attempt to this plan unit's campaign (empty: first match)")
+	asJSON := fs.Bool("json", false, "emit the raw forensics snapshot as JSON")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: hh-why [-attempt N [-unit NAME]] [-json] artifact.json")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	tool, path := fs.Name(), fs.Arg(0)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "hh-why:", err)
+		return 1
 	}
 
-	a, err := runartifact.ReadFile(flag.Arg(0))
+	a, err := runartifact.ReadFile(path)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	s := a.Forensics
-	if s == nil {
-		fatal(fmt.Errorf("%s carries no forensics section (produce it with a current build and -artifact)", flag.Arg(0)))
+	if !a.Carries(tool) {
+		return fail(fmt.Errorf("%s carries no forensics section (produce it with a current build and -artifact)", path))
 	}
+	section := runartifact.View(tool)[0]
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(s); err != nil {
-			fatal(err)
+		if err := enc.Encode(section.Field(a)); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	if *attempt > 0 {
+		s := *section.Field(a).(**forensics.Snapshot)
 		c, att, ok := s.FindAttempt(*unit, *attempt)
 		if !ok {
 			if *unit != "" {
-				fatal(fmt.Errorf("no attempt %d in unit %q", *attempt, *unit))
+				return fail(fmt.Errorf("no attempt %d in unit %q", *attempt, *unit))
 			}
-			fatal(fmt.Errorf("no attempt %d in any recorded campaign", *attempt))
+			return fail(fmt.Errorf("no attempt %d in any recorded campaign", *attempt))
 		}
 		if c.Unit != "" {
-			fmt.Printf("unit %s, ", c.Unit)
+			fmt.Fprintf(stdout, "unit %s, ", c.Unit)
 		}
-		forensics.WriteAttempt(os.Stdout, c, att)
-		return
+		forensics.WriteAttempt(stdout, c, att)
+		return 0
 	}
 
-	fmt.Printf("%s: tool=%s seed=%d scale=%s simSeconds=%.1f\n\n",
-		flag.Arg(0), a.Tool, a.Seed, a.Scale, a.SimSeconds)
-	s.WriteSummary(os.Stdout)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hh-why:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "%s: tool=%s seed=%d scale=%s simSeconds=%.1f\n\n",
+		path, a.Tool, a.Seed, a.Scale, a.SimSeconds)
+	if err := a.Render(stdout, tool, 0); err != nil {
+		return fail(err)
+	}
+	return 0
 }

@@ -288,8 +288,8 @@ type HostSchedule = sched.Schedule
 
 // PlanReport is the host-cost analysis derived from a HostSchedule:
 // per-unit timings and slack, the critical path, and the
-// parallel-efficiency figures. It is the artifact's `plan` section and
-// what /api/plan, hh-plan, and `hh-inspect plan` serve and render.
+// parallel-efficiency figures. It is the artifact's `plan` section,
+// what /api/plan serves and what hh-plan renders, live and offline.
 type PlanReport = profile.PlanReport
 
 // BuildPlanReport derives the critical-path and parallel-efficiency
@@ -297,9 +297,9 @@ type PlanReport = profile.PlanReport
 func BuildPlanReport(sc *HostSchedule) *PlanReport { return profile.BuildPlanReport(sc) }
 
 // RenderPlanReport writes the human view of a plan report — summary,
-// ASCII Gantt chart, worker-utilization bars, top-slack table — the
-// single renderer shared by hh-plan and hh-inspect plan. width bounds
-// the chart columns (0 picks a default).
+// ASCII Gantt chart, worker-utilization bars, top-slack table — with
+// the renderer hh-plan uses. width bounds the chart columns (0 picks a
+// default).
 func RenderPlanReport(w io.Writer, r *PlanReport, width int) error {
 	return profile.RenderPlan(w, r, width)
 }

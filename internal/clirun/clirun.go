@@ -4,6 +4,7 @@
 // shutdown that writes every requested output. A CLI registers the
 // flags, starts a Run, threads Run.Planes and Run.Obs into its work,
 // describes its part of the run bundle, and leaves through Run.Exit.
+// Watch is the live terminal view hh-top and hh-plan share.
 package clirun
 
 import (

@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// This file renders forensics snapshots as text, shared by cmd/hh-why
-// and cmd/hh-inspect's forensics subcommand.
+// This file renders forensics snapshots as text for cmd/hh-why: the
+// summary through the run-artifact section table, the per-attempt
+// lineage directly.
 
 // campaignLabel names a campaign for display.
 func campaignLabel(i int, c *CampaignRecord) string {

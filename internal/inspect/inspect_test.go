@@ -279,7 +279,7 @@ func TestAlertRingBound(t *testing.T) {
 }
 
 // TestRenderersCoverSnapshots sanity-checks the shared ASCII renderers
-// on populated snapshots (hh-top and hh-inspect both consume these).
+// on populated snapshots (hh-top consumes these, live and offline).
 func TestRenderersCoverSnapshots(t *testing.T) {
 	ins := New(Config{})
 	ins.BindMachine(2, 128)
@@ -306,4 +306,17 @@ func TestRenderersCoverSnapshots(t *testing.T) {
 	RenderHeatmap(HeatmapSnapshot{Activations: [][]int64{}, Flips: [][]int64{}})
 	RenderCensus(CensusSnapshot{})
 	RenderAlerts(AlertsSnapshot{})
+}
+
+// TestRenderHeatmapDrawsOnlyStoredGrid: a corrupt header claiming more
+// banks and buckets than the grid holds draws the stored cells only,
+// instead of a line of blanks per claimed bank.
+func TestRenderHeatmapDrawsOnlyStoredGrid(t *testing.T) {
+	out := RenderHeatmap(HeatmapSnapshot{
+		Banks: 100000, Buckets: 100,
+		Activations: [][]int64{{1, 2}}, Flips: [][]int64{{0, 1}},
+	})
+	if !strings.HasSuffix(out, "bank  0 |=F|\n") || strings.Count(out, "\n") != 4 {
+		t.Fatalf("render of a 1x2 grid under a 100000x100 header:\n%.400s", out)
+	}
 }

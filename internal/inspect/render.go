@@ -1,7 +1,7 @@
 package inspect
 
-// ASCII rendering for introspection snapshots, shared by hh-top (live
-// and -once) and the hh-inspect heatmap subcommand so the two tools
+// ASCII rendering for introspection snapshots, the renderers the
+// run-artifact section table gives hh-top, so its live view and -once
 // show the same machine the same way.
 
 import (
@@ -38,18 +38,17 @@ func RenderHeatmap(s HeatmapSnapshot) string {
 	}
 	fmt.Fprintf(&b, "scale: '%c'=0 .. '%c'=%d per bucket; F=applied flip\n",
 		shades[0], shades[len(shades)-1], maxCell)
-	for bank := 0; bank < s.Banks; bank++ {
+	// Draw only the grid the snapshot holds, so a corrupt header
+	// cannot make the view larger than its data.
+	for bank := 0; bank < s.Banks && bank < len(s.Activations); bank++ {
 		b.WriteString(fmt.Sprintf("bank %2d |", bank))
-		for bucket := 0; bucket < s.Buckets; bucket++ {
+		row := s.Activations[bank]
+		for bucket := 0; bucket < s.Buckets && bucket < len(row); bucket++ {
 			if bank < len(s.Flips) && bucket < len(s.Flips[bank]) && s.Flips[bank][bucket] > 0 {
 				b.WriteByte('F')
 				continue
 			}
-			var c int64
-			if bank < len(s.Activations) && bucket < len(s.Activations[bank]) {
-				c = s.Activations[bank][bucket]
-			}
-			b.WriteByte(shadeOf(c, maxCell))
+			b.WriteByte(shadeOf(row[bucket], maxCell))
 		}
 		b.WriteString("|\n")
 	}

@@ -42,11 +42,8 @@ type Plane struct {
 	keepalive time.Duration
 	start     time.Time
 
-	mu       sync.Mutex
-	planes   telemetry.Planes
-	artifact func() any
-	plan     func() *profile.PlanReport
-	runstore *runstore.Store
+	mu  sync.Mutex
+	src sources
 }
 
 // NewPlane creates a plane over reg (which may be nil: the plane then
@@ -172,91 +169,51 @@ func (p *Plane) SampleUnit(unit string) {
 	})
 }
 
-// SetPlanes installs the recorders the server's endpoints serve from:
-// /api/profile from Profile, /api/heatmap, /api/census and /api/alerts
-// from Inspect, /api/forensics from Forensics and /api/ledger from
-// Ledger. A plane left nil (or never calling this) makes its
-// endpoints serve empty-but-schema-valid snapshots. Safe on a nil
-// receiver.
-func (p *Plane) SetPlanes(t telemetry.Planes) {
+// sources are what the server's endpoints read. A source left unset
+// makes its endpoints serve empty-but-schema-valid documents
+// (/api/artifact answers 404).
+type sources struct {
+	planes   telemetry.Planes           // /api/profile, artifact sections
+	plan     func() *profile.PlanReport // /api/plan
+	artifact func() any                 // /api/artifact
+	store    *runstore.Store            // /api/history, /api/trend
+}
+
+func (p *Plane) install(set func(*sources)) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.planes = t
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	set(&p.src)
 }
 
-// Planes returns the installed recorders (the zero Planes when unset;
-// every plane's snapshot is nil-safe).
-func (p *Plane) Planes() telemetry.Planes {
-	if p == nil {
-		return telemetry.Planes{}
-	}
+func (p *Plane) sources() sources {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.planes
+	return p.src
 }
+
+// SetPlanes installs the recorders /api/profile and each run-artifact
+// section's live endpoint serve from; every plane's snapshot is
+// nil-safe. Safe on a nil receiver, like every setter below.
+func (p *Plane) SetPlanes(t telemetry.Planes) { p.install(func(s *sources) { s.planes = t }) }
 
 // SetPlanFunc installs the callback /api/plan serves: the host-cost
-// schedule analysis of the current batch. The CLI lifecycle hands in
-// a closure over its schedule source so the report reflects whatever
-// has been scheduled by request time. A nil fn (or never calling
-// this) makes the endpoint serve an empty-but-schema-valid report.
-// Safe on a nil receiver.
+// schedule analysis of the current batch, built per request so it
+// reflects whatever has been scheduled by then.
 func (p *Plane) SetPlanFunc(fn func() *profile.PlanReport) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.plan = fn
-	p.mu.Unlock()
+	p.install(func(s *sources) { s.plan = fn })
 }
 
-// PlanReport returns the installed plan callback's current report,
-// never nil: without a callback (or when it returns nil) the empty
-// report is served, so handlers and pollers never guard.
-func (p *Plane) PlanReport() *profile.PlanReport {
-	if p == nil {
-		return profile.EmptyPlanReport()
-	}
-	p.mu.Lock()
-	fn := p.plan
-	p.mu.Unlock()
-	if fn == nil {
-		return profile.EmptyPlanReport()
-	}
-	if r := fn(); r != nil {
-		return r
-	}
-	return profile.EmptyPlanReport()
-}
+// SetRunStore installs the run-history store /api/history and
+// /api/trend serve from; its readers hand out snapshot copies, so the
+// endpoints never race a CLI's in-flight ingest.
+func (p *Plane) SetRunStore(st *runstore.Store) { p.install(func(s *sources) { s.store = st }) }
 
-// SetRunStore installs the run-history store the server's /api/history
-// and /api/trend endpoints serve from. A nil store (or never calling
-// this) makes both endpoints serve empty-but-schema-valid documents —
-// runstore's readers are nil-safe and hand out snapshot copies, so the
-// endpoints never race a CLI's in-flight ingest. Safe on a nil
-// receiver.
-func (p *Plane) SetRunStore(s *runstore.Store) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.runstore = s
-	p.mu.Unlock()
-}
-
-// RunStore returns the installed run-history store (nil when unset;
-// runstore methods are nil-safe).
-func (p *Plane) RunStore() *runstore.Store {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.runstore
-}
+// SetArtifactFunc installs the callback /api/artifact serves, the
+// current run bundle, JSON-encoded per request.
+func (p *Plane) SetArtifactFunc(fn func() any) { p.install(func(s *sources) { s.artifact = fn }) }
 
 // KeepAlive returns the SSE keepalive interval.
 func (p *Plane) KeepAlive() time.Duration {
@@ -264,29 +221,6 @@ func (p *Plane) KeepAlive() time.Duration {
 		return 0
 	}
 	return p.keepalive
-}
-
-// SetArtifactFunc installs the callback /api/artifact serves. The
-// value is JSON-encoded per request, so the CLIs hand in a closure
-// building the current runartifact bundle without obs importing that
-// package. Safe on a nil receiver.
-func (p *Plane) SetArtifactFunc(fn func() any) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.artifact = fn
-	p.mu.Unlock()
-}
-
-// ArtifactFunc returns the installed callback (nil when unset).
-func (p *Plane) ArtifactFunc() func() any {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.artifact
 }
 
 // TapTrace streams every event the recorder emits onto the plane's

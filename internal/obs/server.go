@@ -8,6 +8,8 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"hyperhammer/internal/profile"
+	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
 )
 
@@ -25,15 +27,9 @@ import (
 //	/api/profile   live sim-time cost profile (?format=json|folded|pprof)
 //	/api/artifact  current run-artifact bundle, when the CLI installed
 //	               a builder (404 otherwise)
-//	/api/heatmap   bucketed DRAM activation/flip heatmap (introspection
-//	               plane; empty-but-valid without an inspector)
-//	/api/census    memory-layout census per plan unit + live host
-//	/api/alerts    fired watchpoint alerts (totals, per-rule, ring)
-//	/api/forensics flip-provenance snapshot: per-attempt flip lineage,
-//	               verdict/owner taxonomies, campaign outcomes
-//	/api/ledger    determinism-ledger snapshot: rolling per-stream
-//	               fingerprints sealed into sim-time epochs, per unit
-//	               (empty-but-valid without a recorder)
+//	/api/<name>    the live snapshot of each run-artifact section whose
+//	               table entry has one (runartifact.Sections), from the
+//	               installed planes; empty-but-valid without a recorder
 //	/api/plan      host-cost schedule analysis of the current batch:
 //	               per-unit host timings, critical path, parallel
 //	               efficiency (empty-but-valid until a CLI installs a
@@ -74,14 +70,30 @@ func (p *Plane) Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/api/events", s.handleEvents)
 	mux.HandleFunc("/api/profile", s.handleProfile)
 	mux.HandleFunc("/api/artifact", s.handleArtifact)
-	mux.HandleFunc("/api/heatmap", s.handleHeatmap)
-	mux.HandleFunc("/api/census", s.handleCensus)
-	mux.HandleFunc("/api/alerts", s.handleAlerts)
-	mux.HandleFunc("/api/forensics", s.handleForensics)
-	mux.HandleFunc("/api/ledger", s.handleLedger)
-	mux.HandleFunc("/api/plan", s.handlePlan)
-	mux.HandleFunc("/api/history", s.handleHistory)
-	mux.HandleFunc("/api/trend", s.handleTrend)
+	// JSON documents read per request. Every reader is nil-safe and
+	// hands out a snapshot copy, so a document is empty but
+	// schema-valid (lists [], never null) until its source is
+	// installed, and never a partial view of an in-flight run.
+	docs := map[string]func() any{
+		"/api/plan": func() any {
+			if fn := p.sources().plan; fn != nil {
+				if r := fn(); r != nil {
+					return r
+				}
+			}
+			return profile.EmptyPlanReport()
+		},
+		"/api/history": func() any { return p.sources().store.History() },
+		"/api/trend":   func() any { return p.sources().store.Trend(runstore.DefaultTrendOptions()) },
+	}
+	for _, sec := range runartifact.Sections() {
+		if live := sec.Live; live != nil {
+			docs["/api/"+sec.Name] = func() any { return live(p.sources().planes) }
+		}
+	}
+	for path, doc := range docs {
+		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, doc()) })
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -161,7 +173,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // JSON entry table (default), flamegraph folded stacks, or gzipped
 // pprof protobuf (`go tool pprof http://.../api/profile?format=pprof`).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	p := s.plane.Planes().Profile.Snapshot()
+	p := s.plane.sources().planes.Profile.Snapshot()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, p)
@@ -180,67 +192,12 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // handleArtifact serves the CLI-installed run-artifact builder's
 // current bundle; 404 until a CLI installs one.
 func (s *Server) handleArtifact(w http.ResponseWriter, _ *http.Request) {
-	fn := s.plane.ArtifactFunc()
+	fn := s.plane.sources().artifact
 	if fn == nil {
 		http.Error(w, "no artifact builder installed (run with -artifact)", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, fn())
-}
-
-// handleHeatmap serves the introspection plane's DRAM heatmap. The
-// snapshot methods are nil-safe, so the shape contract holds with no
-// inspector installed: arrays are [] and never null.
-func (s *Server) handleHeatmap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Planes().Inspect.HeatmapSnapshot())
-}
-
-// handleCensus serves the memory-layout census (plan units in
-// declaration order, live host last).
-func (s *Server) handleCensus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Planes().Inspect.CensusSnapshot())
-}
-
-// handleAlerts serves the fired-watchpoint state.
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Planes().Inspect.AlertsSnapshot())
-}
-
-// handleForensics serves the flip-provenance snapshot. Snapshot is
-// nil-safe, so the shape contract holds with no recorder installed:
-// arrays are [] and never null.
-func (s *Server) handleForensics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Planes().Forensics.Snapshot())
-}
-
-// handleLedger serves the determinism-ledger snapshot. Snapshot is
-// nil-safe, so the shape contract holds with no recorder installed:
-// arrays are [] and never null.
-func (s *Server) handleLedger(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Planes().Ledger.Snapshot())
-}
-
-// handlePlan serves the host-cost schedule report. PlanReport is
-// never nil, so the shape contract holds with no plan source
-// installed: arrays are [] and never null.
-func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.PlanReport())
-}
-
-// handleHistory serves the run-history store's index. History returns
-// a snapshot copy built under the store lock, so the response is never
-// a partial view of an in-flight ingest; on a nil store the document
-// is empty but schema-valid (entries is [] and never null).
-func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.RunStore().History())
-}
-
-// handleTrend serves the cross-run trend report at the default
-// tolerances (sim figures exact, host durations listed but not gated,
-// bench ns/op at ±30%). Like /api/history it folds a snapshot copy of
-// the index, and on a nil store the report is empty but schema-valid.
-func (s *Server) handleTrend(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.RunStore().Trend(runstore.DefaultTrendOptions()))
 }
 
 // handleEvents streams the bus over SSE: the replay ring first, then

@@ -173,8 +173,8 @@ func BuildPlanReport(sc *sched.Schedule) *PlanReport {
 // ASCII Gantt chart (one row per unit, run time as '=', delivery hold
 // as '.', delivery as '|'), per-worker utilization bars, and the
 // top-slack unit table. width bounds the chart columns (0 picks 60).
-// This is the single renderer behind hh-plan, hh-inspect plan, and the
-// /api/plan consumers, per the one-renderer-per-view convention.
+// This is the single renderer behind hh-plan, offline and against
+// /api/plan, per the one-renderer-per-view convention.
 func RenderPlan(w io.Writer, r *PlanReport, width int) error {
 	if r == nil {
 		r = EmptyPlanReport()
@@ -268,7 +268,11 @@ func RenderPlan(w io.Writer, r *PlanReport, width int) error {
 		if span > 0 {
 			frac = busy / span
 		}
-		if frac > 1 {
+		// Clamp to [0,1] so a bar always fits; NaN (a hand-edited or
+		// corrupt report) draws empty.
+		if !(frac >= 0) {
+			frac = 0
+		} else if frac > 1 {
 			frac = 1
 		}
 		fill := int(frac*float64(barW) + 0.5)

@@ -1,17 +1,11 @@
 package runartifact
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"hyperhammer/internal/benchfmt"
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
-	"hyperhammer/internal/profile"
 	"hyperhammer/internal/report"
 )
 
@@ -54,7 +48,7 @@ func DefaultTolerances() Tolerances {
 // Delta is one compared figure.
 type Delta struct {
 	// Kind groups the row: "run" (headline), "phase" (profile path),
-	// "counter", "outcome", "heatmap", "census", "alerts", "plan", or
+	// "counter", "outcome", a section name from the section table, or
 	// "bench".
 	Kind string `json:"kind"`
 	// Key identifies the figure within its kind (span path, metric
@@ -83,8 +77,9 @@ func (d Delta) Frac() float64 {
 
 // Diff is the comparison of two artifacts (or bench documents).
 type Diff struct {
-	// Deltas lists every compared figure, flagged rows first within
-	// each kind, kinds in run/phase/counter/outcome/bench order.
+	// Deltas lists every compared figure, keys sorted within each
+	// kind, kinds in run/phase/counter/outcome/section-table order (or
+	// bench rows alone for two bench documents).
 	Deltas []Delta `json:"deltas"`
 	// Flagged counts deltas beyond tolerance; nonzero means the runs
 	// diverged and the gate should fail.
@@ -94,8 +89,10 @@ type Diff struct {
 // Regressed reports whether any figure drifted beyond tolerance.
 func (d *Diff) Regressed() bool { return d.Flagged > 0 }
 
-// withinTol applies the |Δ| ≤ max(abs, frac·max(|a|,|b|)) rule.
-func withinTol(a, b, frac, absTol float64) bool {
+// WithinTol reports |b−a| ≤ max(absTol, frac·max(|a|,|b|)) — the
+// single tolerance rule hh-diff applies everywhere, and the one the
+// run-history trend engine and hh-hotpath attribute regressions with.
+func WithinTol(a, b, frac, absTol float64) bool {
 	d := abs(b - a)
 	base := abs(a)
 	if x := abs(b); x > base {
@@ -117,13 +114,13 @@ func abs(v float64) float64 {
 
 // Compare diffs two artifacts figure by figure under the given
 // tolerances. It compares headline sim time, per-path profile costs,
-// every counter in the metrics snapshot, the outcome table, and — when
-// both artifacts embed one — the benchmark documents.
+// every counter in the metrics snapshot, the outcome table, and every
+// telemetry section in the section table.
 func Compare(a, b *Artifact, tol Tolerances) *Diff {
 	d := &Diff{}
 	add := func(kind, key string, va, vb float64, frac, absTol float64) {
 		row := Delta{Kind: kind, Key: key, A: va, B: vb, Delta: vb - va}
-		if !withinTol(va, vb, frac, absTol) {
+		if !WithinTol(va, vb, frac, absTol) {
 			row.Flagged = true
 			d.Flagged++
 		}
@@ -133,19 +130,12 @@ func Compare(a, b *Artifact, tol Tolerances) *Diff {
 	add("run", "sim_seconds", a.SimSeconds, b.SimSeconds, tol.SimFrac, tol.SimAbs)
 
 	// Per-phase simulated time and activations from the folded profile.
-	type phaseCost struct{ seconds, acts float64 }
-	collect := func(art *Artifact) map[string]phaseCost {
-		m := make(map[string]phaseCost, len(art.Profile))
-		for _, e := range art.Profile {
-			m[e.Path] = phaseCost{seconds: e.SimSeconds, acts: float64(e.Activations)}
-		}
-		return m
-	}
-	pa, pb := collect(a), collect(b)
-	for _, path := range unionKeys(pa, pb) {
-		add("phase", path, pa[path].seconds, pb[path].seconds, tol.SimFrac, tol.SimAbs)
-		if pa[path].acts != 0 || pb[path].acts != 0 {
-			add("phase", path+" activations", pa[path].acts, pb[path].acts, tol.CountFrac, tol.CountAbs)
+	pa, pb := profileMap(a), profileMap(b)
+	for _, key := range unionKeys(pa, pb) {
+		if strings.HasSuffix(key, activationsSuffix) {
+			add("phase", key, pa[key], pb[key], tol.CountFrac, tol.CountAbs)
+		} else {
+			add("phase", key, pa[key], pb[key], tol.SimFrac, tol.SimAbs)
 		}
 	}
 
@@ -160,251 +150,27 @@ func Compare(a, b *Artifact, tol Tolerances) *Diff {
 		add("outcome", key, a.Outcome[key], b.Outcome[key], tol.CountFrac, tol.CountAbs)
 	}
 
-	// Introspection-plane sections (heatmap / census / alerts) compare
-	// under the counter tolerance, which defaults to zero: any drift in
-	// where activations landed or which watchpoints fired means the
-	// simulation behaved differently.
-	if a.Heatmap != nil || b.Heatmap != nil {
-		ha, hb := heatmapMap(a.Heatmap), heatmapMap(b.Heatmap)
-		for _, key := range unionKeys(ha, hb) {
-			add("heatmap", key, ha[key], hb[key], tol.CountFrac, tol.CountAbs)
+	// The telemetry sections, in table order. Deterministic sections
+	// compare whenever either side carries them, so a section appearing
+	// or vanishing is drift; host sections compare only when both sides
+	// carry them, like two bench documents.
+	for _, s := range sections {
+		ha, hb := s.Has(a), s.Has(b)
+		if !(ha && hb) && (s.host || !(ha || hb)) {
+			continue
 		}
-	}
-	if a.Census != nil || b.Census != nil {
-		ca, cb := censusMap(a.Census), censusMap(b.Census)
-		for _, key := range unionKeys(ca, cb) {
-			add("census", key, ca[key], cb[key], tol.CountFrac, tol.CountAbs)
+		for _, f := range s.figures {
+			frac, absTol := tol.CountFrac, tol.CountAbs
+			if f.host {
+				frac, absTol = tol.HostFrac, tol.HostAbs
+			}
+			fa, fb := f.flatten(a), f.flatten(b)
+			for _, key := range unionKeys(fa, fb) {
+				add(s.Name, key, fa[key], fb[key], frac, absTol)
+			}
 		}
-	}
-	if a.Alerts != nil || b.Alerts != nil {
-		aa, ab := alertsMap(a.Alerts), alertsMap(b.Alerts)
-		for _, key := range unionKeys(aa, ab) {
-			add("alerts", key, aa[key], ab[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// The forensics section likewise compares at the (zero-default)
-	// counter tolerance: attempt outcomes, flip verdicts, and owner
-	// attributions are all seed-deterministic.
-	if a.Forensics != nil || b.Forensics != nil {
-		fa, fb := forensicsMap(a.Forensics), forensicsMap(b.Forensics)
-		for _, key := range unionKeys(fa, fb) {
-			add("forensics", key, fa[key], fb[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// The ledger section compares fingerprints at the (zero-default)
-	// counter tolerance: any fractional or absolute slack would defeat
-	// its purpose, since a fingerprint either matches or does not.
-	if a.Ledger != nil || b.Ledger != nil {
-		la, lb := ledgerMap(a.Ledger), ledgerMap(b.Ledger)
-		for _, key := range unionKeys(la, lb) {
-			add("ledger", key, la[key], lb[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// The plan section (host-cost schedule) compares only when both
-	// artifacts carry one (like bench): shape and counts exactly
-	// (under the count tolerance), durations loosely (under the host
-	// tolerance, which defaults to never-flag).
-	if a.Plan != nil && b.Plan != nil {
-		sa, sb := planShapeMap(a.Plan), planShapeMap(b.Plan)
-		for _, key := range unionKeys(sa, sb) {
-			add("plan", key, sa[key], sb[key], tol.CountFrac, tol.CountAbs)
-		}
-		ha, hb := planHostMap(a.Plan), planHostMap(b.Plan)
-		for _, key := range unionKeys(ha, hb) {
-			add("plan", key, ha[key], hb[key], tol.HostFrac, tol.HostAbs)
-		}
-	}
-
-	if a.Bench != nil && b.Bench != nil {
-		benchDeltas(d, a.Bench, b.Bench, tol)
 	}
 	return d
-}
-
-// planShapeMap flattens a plan report's deterministic shape: how many
-// units were scheduled, and that each declared unit ran and was
-// delivered. These must agree exactly across runs of the same matrix
-// regardless of -parallel (the worker count itself is configuration,
-// not shape, so it is compared as a host figure).
-func planShapeMap(p *profile.PlanReport) map[string]float64 {
-	m := map[string]float64{}
-	if p == nil {
-		return m
-	}
-	m["units"] = float64(len(p.Units))
-	for _, u := range p.Units {
-		b2f := func(b bool) float64 {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		m["unit["+u.Name+"].started"] = b2f(u.Started)
-		m["unit["+u.Name+"].delivered"] = b2f(u.Delivered)
-	}
-	return m
-}
-
-// planHostMap flattens a plan report's host-time figures: headline
-// costs, the efficiency line, and per-unit run durations.
-func planHostMap(p *profile.PlanReport) map[string]float64 {
-	m := map[string]float64{}
-	if p == nil {
-		return m
-	}
-	m["host workers"] = float64(p.Workers)
-	m["host wall_seconds"] = p.WallSeconds
-	m["host cpu_seconds"] = p.CPUSeconds
-	m["host busy_seconds"] = p.BusySeconds
-	m["host sequential_seconds"] = p.SequentialSeconds
-	m["host critical_path_seconds"] = p.CriticalPathSeconds
-	m["host max_speedup"] = p.MaxSpeedup
-	m["host actual_speedup"] = p.ActualSpeedup
-	m["host efficiency"] = p.Efficiency
-	for _, u := range p.Units {
-		m["host unit["+u.Name+"].run_seconds"] = u.RunSeconds
-	}
-	return m
-}
-
-// heatmapMap flattens a heatmap snapshot to comparison keys: the
-// headline totals, per-bank sums, and an FNV-1a fingerprint over the
-// full per-bucket grid so any cell-level drift is caught without
-// emitting thousands of rows.
-func heatmapMap(h *inspect.HeatmapSnapshot) map[string]float64 {
-	m := map[string]float64{}
-	if h == nil {
-		return m
-	}
-	m["banks"] = float64(h.Banks)
-	m["buckets"] = float64(h.Buckets)
-	m["total_activations"] = float64(h.TotalActivations)
-	m["total_flips"] = float64(h.TotalFlips)
-	m["max_row_window"] = float64(h.MaxRowWindowActivations)
-	fp := uint64(14695981039346656037)
-	mix := func(v int64) {
-		for i := 0; i < 8; i++ {
-			fp ^= uint64(v>>(8*i)) & 0xff
-			fp *= 1099511628211
-		}
-	}
-	for bank := 0; bank < len(h.Activations); bank++ {
-		var act, flips int64
-		for _, c := range h.Activations[bank] {
-			act += c
-			mix(c)
-		}
-		if bank < len(h.Flips) {
-			for _, c := range h.Flips[bank] {
-				flips += c
-				mix(c)
-			}
-		}
-		m[fmt.Sprintf("bank[%d].activations", bank)] = float64(act)
-		m[fmt.Sprintf("bank[%d].flips", bank)] = float64(flips)
-	}
-	// Fold to float-exact 52 bits so the value survives the float64
-	// comparison machinery unchanged.
-	m["grid_fingerprint"] = float64(fp % (1 << 52))
-	return m
-}
-
-// forensicsMap flattens a forensics snapshot to comparison keys: the
-// headline totals, the verdict/owner/outcome tables, and an FNV-1a
-// fingerprint over the serialized campaign records so any drift in
-// per-attempt lineage (causes, flip details, sim times) is caught
-// without emitting a row per flip.
-func forensicsMap(s *forensics.Snapshot) map[string]float64 {
-	m := map[string]float64{}
-	if s == nil {
-		return m
-	}
-	m["version"] = float64(s.Version)
-	m["campaigns"] = float64(len(s.Campaigns))
-	attempts := 0
-	for i := range s.Campaigns {
-		attempts += len(s.Campaigns[i].Attempts)
-	}
-	m["attempts"] = float64(attempts)
-	m["flips_recorded"] = float64(s.FlipsRecorded)
-	m["flips_truncated"] = float64(s.FlipsTruncated)
-	for _, r := range s.Verdicts {
-		m["verdict["+r.Key+"]"] = float64(r.N)
-	}
-	for _, r := range s.Owners {
-		m["owner["+r.Key+"]"] = float64(r.N)
-	}
-	for _, r := range s.Outcomes {
-		m["outcome["+r.Key+"]"] = float64(r.N)
-	}
-	raw, err := json.Marshal(s.Campaigns)
-	if err == nil {
-		fp := uint64(14695981039346656037)
-		for _, c := range raw {
-			fp ^= uint64(c)
-			fp *= 1099511628211
-		}
-		// Fold to float-exact 52 bits, like the heatmap grid fingerprint.
-		m["campaign_fingerprint"] = float64(fp % (1 << 52))
-	}
-	return m
-}
-
-// ledgerMap flattens a determinism-ledger snapshot to comparison keys:
-// per unit and stream, the final fingerprint (folded to float-exact 52
-// bits, like the grid fingerprint) and event count, plus the epoch
-// counts. Per-epoch fingerprints are implied by the finals — a run
-// whose final fingerprints match at every stream had identical epoch
-// trails — so flattening them would only multiply rows; hh-bisect is
-// the tool that walks epochs.
-func ledgerMap(s *ledger.Snapshot) map[string]float64 {
-	m := map[string]float64{}
-	if s == nil {
-		return m
-	}
-	m["version"] = float64(s.Version)
-	m["epoch_seconds"] = s.EpochSimSeconds
-	m["units"] = float64(len(s.Units))
-	for _, u := range s.Units {
-		prefix := ""
-		if u.Unit != "" {
-			prefix = u.Unit + "."
-		}
-		m[prefix+"epochs"] = float64(len(u.Epochs))
-		m[prefix+"epochs_truncated"] = float64(u.EpochsTruncated)
-		for _, sf := range u.Streams {
-			fp, err := strconv.ParseUint(sf.FP, 16, 64)
-			if err == nil {
-				m[prefix+sf.Stream+".fp"] = float64(fp % (1 << 52))
-			}
-			m[prefix+sf.Stream+".count"] = float64(sf.Count)
-		}
-	}
-	return m
-}
-
-// censusMap flattens census snapshots to comparison keys.
-func censusMap(s *inspect.CensusSnapshot) map[string]float64 {
-	m := map[string]float64{}
-	inspect.FlattenCensuses(s, func(key string, v float64) { m[key] = v })
-	return m
-}
-
-// alertsMap flattens the alert table: overall total and per-rule fired
-// counts.
-func alertsMap(s *inspect.AlertsSnapshot) map[string]float64 {
-	m := map[string]float64{}
-	if s == nil {
-		return m
-	}
-	m["total"] = float64(s.Total)
-	for _, rc := range s.ByRule {
-		m["rule["+rc.Rule+"]"] = float64(rc.Count)
-	}
-	return m
 }
 
 // CompareBench diffs two plain benchmark documents (BENCH_*.json).
@@ -442,7 +208,7 @@ func benchDeltas(d *Diff, a, b *benchfmt.Output, tol Tolerances) {
 		}
 		va, vb := oa.Metrics["ns/op"], ob.Metrics["ns/op"]
 		row := Delta{Kind: "bench", Key: n + " ns/op", A: va, B: vb, Delta: vb - va}
-		if !withinTol(va, vb, tol.BenchFrac, 0) {
+		if !WithinTol(va, vb, tol.BenchFrac, 0) {
 			row.Flagged = true
 			d.Flagged++
 		}

@@ -4,6 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"maps"
 	"sort"
 	"strconv"
 )
@@ -12,7 +15,7 @@ import (
 // Bump it when a release intentionally changes simulated figures: the
 // run-history trend engine then shows *why* same-config runs diverged
 // (code moved, not config).
-const ToolVersion = "0.8.0"
+const ToolVersion = "0.9.0"
 
 // HostOnlyConfigKeys names config entries that describe how a run was
 // *executed* rather than what was simulated, so they are excluded from
@@ -94,12 +97,12 @@ func (a *Artifact) ContentHash() string {
 // Fingerprints folds each deterministic artifact section into one
 // FNV-1a figure, keyed by section name: "outcome" (headline sim time
 // and campaign outcome), "profile" (per-path sim cost), "counters"
-// (the metrics snapshot), and — when the run carried them — "heatmap",
-// "census", "alerts", and "forensics". The flattenings are exactly the
-// maps Compare diffs at zero tolerance, so two artifacts with equal
-// fingerprints are hh-diff-clean on simulated figures, and a drifted
-// section names where the divergence lives without storing every
-// figure. Values are folded to 52 bits so they survive float64
+// (the metrics snapshot), and every section of the section table the
+// run carried, except the host sections. The flattenings are exactly
+// the maps Compare diffs at zero tolerance, so two artifacts with
+// equal fingerprints are hh-diff-clean on simulated figures, and a
+// drifted section names where the divergence lives without storing
+// every figure. Values are folded to 52 bits so they survive float64
 // comparison machinery unchanged (like the heatmap grid fingerprint).
 func (a *Artifact) Fingerprints() map[string]float64 {
 	out := map[string]float64{
@@ -107,17 +110,15 @@ func (a *Artifact) Fingerprints() map[string]float64 {
 		"profile":  fingerprintMap(profileMap(a)),
 		"counters": fingerprintMap(counterMap(a)),
 	}
-	if a.Heatmap != nil {
-		out["heatmap"] = fingerprintMap(heatmapMap(a.Heatmap))
-	}
-	if a.Census != nil {
-		out["census"] = fingerprintMap(censusMap(a.Census))
-	}
-	if a.Alerts != nil {
-		out["alerts"] = fingerprintMap(alertsMap(a.Alerts))
-	}
-	if a.Forensics != nil {
-		out["forensics"] = fingerprintMap(forensicsMap(a.Forensics))
+	for _, s := range sections {
+		if s.host || !s.Has(a) {
+			continue
+		}
+		m := map[string]float64{}
+		for _, f := range s.figures {
+			maps.Copy(m, f.flatten(a))
+		}
+		out[s.Name] = fingerprintMap(m)
 	}
 	return out
 }
@@ -133,14 +134,17 @@ func outcomeMap(a *Artifact) map[string]float64 {
 	return m
 }
 
-// profileMap flattens the folded cost profile the same way Compare
-// does: per-path sim seconds plus per-path activation counts.
+// activationsSuffix marks a profile path's activation-count figure.
+const activationsSuffix = " activations"
+
+// profileMap flattens the folded cost profile: per-path sim seconds
+// plus per-path activation counts where nonzero.
 func profileMap(a *Artifact) map[string]float64 {
 	m := make(map[string]float64, 2*len(a.Profile))
 	for _, e := range a.Profile {
 		m[e.Path] = e.SimSeconds
 		if e.Activations != 0 {
-			m[e.Path+" activations"] = float64(e.Activations)
+			m[e.Path+activationsSuffix] = float64(e.Activations)
 		}
 	}
 	return m
@@ -148,33 +152,20 @@ func profileMap(a *Artifact) map[string]float64 {
 
 // fingerprintMap hashes a figure map order-independently: sorted
 // key=value lines through FNV-1a, value formatted with the shortest
-// round-trippable float encoding, folded to float-exact 52 bits.
+// round-trippable float encoding.
 func fingerprintMap(m map[string]float64) float64 {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fp := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			fp ^= uint64(s[i])
-			fp *= 1099511628211
-		}
-	}
+	fp := fnv.New64a()
 	for _, k := range keys {
-		mix(k)
-		mix("=")
-		mix(strconv.FormatFloat(m[k], 'g', -1, 64))
-		mix("\n")
+		fmt.Fprintf(fp, "%s=%s\n", k, strconv.FormatFloat(m[k], 'g', -1, 64))
 	}
-	return float64(fp % (1 << 52))
+	return fold52(fp.Sum64())
 }
 
-// WithinTol reports |b−a| ≤ max(abs, frac·max(|a|,|b|)) — the single
-// tolerance rule hh-diff applies everywhere, exported so the run-
-// history trend engine attributes host/bench regressions with exactly
-// the -host-tol machinery.
-func WithinTol(a, b, frac, absTol float64) bool {
-	return withinTol(a, b, frac, absTol)
-}
+// fold52 folds a 64-bit fingerprint to 52 bits, so it survives float64
+// comparison machinery unchanged.
+func fold52(fp uint64) float64 { return float64(fp % (1 << 52)) }

@@ -2,8 +2,10 @@
 // write with -artifact: everything needed to compare two runs after
 // the fact — the configuration and seed of record, the final metrics
 // snapshot, the folded cost profile (see internal/profile), a small
-// time-series extract, the campaign outcome, and optionally an
-// embedded benchmark document.
+// time-series extract, the campaign outcome, and the telemetry
+// sections the run carried. The section table (section.go) declares
+// each telemetry section once, for diffing, fingerprinting, serving
+// and rendering.
 //
 // Because the simulation is deterministic for a fixed seed and its
 // clock is simulated (machine-speed independent), two artifacts from
@@ -19,7 +21,6 @@ import (
 	"io"
 	"os"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/ledger"
@@ -83,35 +84,17 @@ type Artifact struct {
 	// Series is the time-series extract (informational; hh-diff
 	// compares endpoints, not curves).
 	Series []Series `json:"series,omitempty"`
-	// Bench optionally embeds a benchmark document so one artifact can
-	// carry both simulated and wall-clock figures.
-	Bench *benchfmt.Output `json:"bench,omitempty"`
-	// Heatmap, Census and Alerts embed the hardware introspection
-	// plane's snapshots when the run carried an inspector; hh-diff
-	// compares all three with zero default tolerance and hh-top/
-	// hh-inspect render them offline.
-	Heatmap *inspect.HeatmapSnapshot `json:"heatmap,omitempty"`
-	Census  *inspect.CensusSnapshot  `json:"census,omitempty"`
-	Alerts  *inspect.AlertsSnapshot  `json:"alerts,omitempty"`
-	// Forensics embeds the flip-provenance plane's snapshot when the
-	// run carried a recorder: per-attempt flip lineage, verdict and
-	// owner taxonomies, and campaign outcome tables. cmd/hh-why reads
-	// this section offline; hh-diff compares it at zero tolerance.
-	Forensics *forensics.Snapshot `json:"forensics,omitempty"`
-	// Ledger embeds the determinism-ledger plane's snapshot when the
-	// run carried a recorder: rolling per-stream fingerprints sealed
-	// into sim-time epochs, per unit. cmd/hh-bisect localizes
-	// divergence between two artifacts from this section; hh-diff
-	// compares it at zero tolerance.
-	Ledger *ledger.Snapshot `json:"ledger,omitempty"`
-	// Plan embeds the host-cost schedule analysis (per-unit host
-	// timings, critical path, parallel efficiency). Unlike every other
-	// section it measures the *host*, so it is the one part of the
-	// artifact that legitimately differs across runs and -parallel
-	// settings; hh-diff checks its shape exactly but its durations only
-	// loosely (Tolerances.HostFrac). hh-plan and hh-inspect plan render
-	// it offline.
-	Plan *profile.PlanReport `json:"plan,omitempty"`
+	// The telemetry sections, each present when the run carried the
+	// plane that records it; the section table (section.go) says how
+	// each is compared, fingerprinted, served and rendered. Plan is the
+	// one host section: the host-cost schedule analysis, which
+	// legitimately differs across runs and -parallel settings.
+	Heatmap   *inspect.HeatmapSnapshot `json:"heatmap,omitempty"`
+	Census    *inspect.CensusSnapshot  `json:"census,omitempty"`
+	Alerts    *inspect.AlertsSnapshot  `json:"alerts,omitempty"`
+	Forensics *forensics.Snapshot      `json:"forensics,omitempty"`
+	Ledger    *ledger.Snapshot         `json:"ledger,omitempty"`
+	Plan      *profile.PlanReport      `json:"plan,omitempty"`
 }
 
 // SetInspector embeds the inspector's three snapshots; a nil inspector

@@ -148,8 +148,8 @@ func TestWithinTolRules(t *testing.T) {
 		{0, 5, 0.5, 0, false}, // growth from zero is never a fraction
 		{0, 5, 0, 10, true},
 	} {
-		if got := withinTol(tc.a, tc.b, tc.frac, tc.abs); got != tc.want {
-			t.Errorf("withinTol(%v,%v,%v,%v) = %v", tc.a, tc.b, tc.frac, tc.abs, got)
+		if got := WithinTol(tc.a, tc.b, tc.frac, tc.abs); got != tc.want {
+			t.Errorf("WithinTol(%v,%v,%v,%v) = %v", tc.a, tc.b, tc.frac, tc.abs, got)
 		}
 	}
 }

@@ -13,16 +13,15 @@
 //	└── <otherHash>/...
 //
 // The index is the compact cross-run view: headline outcome figures,
-// per-section figure fingerprints, the host-cost summary, and bench
-// figures — everything the trend engine needs without reloading the
-// full artifacts. Artifacts themselves are kept whole so a detected
-// drift can be attributed figure-by-figure with the hh-diff machinery
+// per-section figure fingerprints and the host-cost summary —
+// everything the trend engine needs without reloading the full
+// artifacts. Artifacts themselves are kept whole so a detected drift
+// can be attributed figure-by-figure with the hh-diff machinery
 // (Store.DriftDetail).
 //
-// Because the simulation is seed-deterministic, two runs with the same
-// ConfigHash must agree exactly on every simulated figure; the store
-// is therefore also the artifact backbone for a dedupe-by-config-hash
-// scheduler (ROADMAP item 1): results are cacheable by construction.
+// An append that is interrupted leaves its line without the trailing
+// newline. Open skips such a final fragment and the next append
+// truncates it, so one torn write never locks the store.
 package runstore
 
 import (
@@ -54,8 +53,8 @@ type IndexEntry struct {
 	// RunID names the stored document: "<seq>-<contentHash>". The
 	// content suffix makes byte-identical reruns visible at a glance.
 	RunID string `json:"runID"`
-	// Kind is "artifact" (a full run bundle) or "bench" (an ingested
-	// hh-benchjson document).
+	// Kind is "artifact" (a full run bundle) or "bench" (a
+	// hh-benchjson document, as `hh-trend -bench` reads them).
 	Kind string `json:"kind"`
 	// ConfigHash groups runs that claim identical simulated inputs;
 	// the artifact lives under this directory.
@@ -80,8 +79,8 @@ type IndexEntry struct {
 	// CPU, speedup, efficiency) — noisy by nature, tracked with
 	// min/median/last and gated only by an explicit -host-tol.
 	Host map[string]float64 `json:"host,omitempty"`
-	// Bench holds wall-clock benchmark figures ("Name ns/op") from an
-	// embedded or ingested hh-benchjson document.
+	// Bench holds wall-clock benchmark figures ("Name ns/op") from a
+	// hh-benchjson document.
 	Bench map[string]float64 `json:"bench,omitempty"`
 }
 
@@ -114,6 +113,9 @@ type Store struct {
 	mu      sync.Mutex
 	entries []IndexEntry
 	idx     *os.File
+	// torn is the index offset of a torn final fragment, -1 when the
+	// index ends with a whole line.
+	torn int64
 }
 
 // Open opens (creating if needed) the store rooted at dir and loads
@@ -125,14 +127,22 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	s := &Store{dir: dir}
+	s := &Store{dir: dir, torn: -1}
 	path := filepath.Join(dir, indexFile)
 	if data, err := os.ReadFile(path); err == nil {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for line := 1; dec.More(); line++ {
+		// A final line without its newline is an append cut short:
+		// skip it here and truncate it before the next append.
+		end := bytes.LastIndexByte(data, '\n') + 1
+		if end < len(data) {
+			s.torn = int64(end)
+		}
+		for i, line := range bytes.Split(data[:end], []byte{'\n'}) {
+			if len(bytes.TrimSpace(line)) == 0 {
+				continue
+			}
 			var e IndexEntry
-			if err := dec.Decode(&e); err != nil {
-				return nil, fmt.Errorf("runstore: %s line %d: %w", path, line, err)
+			if err := json.Unmarshal(line, &e); err != nil {
+				return nil, fmt.Errorf("runstore: %s line %d: %w", path, i+1, err)
 			}
 			s.entries = append(s.entries, e)
 		}
@@ -166,16 +176,6 @@ func (s *Store) Dir() string {
 	return s.dir
 }
 
-// Len returns the number of indexed runs (0 on a nil store).
-func (s *Store) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
 // Entries returns a copy of the index in ingest order (empty, never
 // nil, on a nil store).
 func (s *Store) Entries() []IndexEntry {
@@ -199,19 +199,6 @@ func (s *Store) History() HistorySnapshot {
 // schema-valid.
 func (s *Store) Trend(opts TrendOptions) *Report {
 	return Build(s.Entries(), opts)
-}
-
-// ByConfig returns the indexed runs with the given config hash, in
-// ingest order — the dedupe primitive: a scheduler that finds entries
-// here can serve the stored artifact instead of re-running.
-func (s *Store) ByConfig(hash string) []IndexEntry {
-	out := []IndexEntry{}
-	for _, e := range s.Entries() {
-		if e.ConfigHash == hash {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Ingest stamps, stores, and indexes one run artifact, returning its
@@ -242,39 +229,6 @@ func (s *Store) Ingest(a *runartifact.Artifact) (IndexEntry, error) {
 	}
 	if err := a.WriteFile(filepath.Join(cfgDir, e.RunID+".json")); err != nil {
 		return IndexEntry{}, err
-	}
-	return e, s.appendLocked(e)
-}
-
-// IngestBench indexes an hh-benchjson document so wall-clock bench
-// figures join the cross-run history. The document is stored whole
-// under its config-hash directory like an artifact.
-func (s *Store) IngestBench(b *benchfmt.Output) (IndexEntry, error) {
-	if s == nil {
-		return IndexEntry{}, errors.New("runstore: ingest into a nil store")
-	}
-	if b == nil {
-		return IndexEntry{}, errors.New("runstore: ingest a nil bench document")
-	}
-	e := EntryFromBench(b)
-	raw, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: encode bench: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx == nil {
-		return IndexEntry{}, errors.New("runstore: store is closed")
-	}
-	e.Seq = s.nextSeqLocked()
-	e.RunID = fmt.Sprintf("%06d-%s", e.Seq, e.ContentHash)
-	e.IngestedAt = time.Now().UTC().Format(time.RFC3339)
-	cfgDir := filepath.Join(s.dir, e.ConfigHash)
-	if err := os.MkdirAll(cfgDir, 0o755); err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(cfgDir, e.RunID+".json"), append(raw, '\n'), 0o644); err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: %w", err)
 	}
 	return e, s.appendLocked(e)
 }
@@ -321,6 +275,12 @@ func (s *Store) appendLocked(e IndexEntry) error {
 	if err != nil {
 		return fmt.Errorf("runstore: encode index entry: %w", err)
 	}
+	if s.torn >= 0 {
+		if err := s.idx.Truncate(s.torn); err != nil {
+			return fmt.Errorf("runstore: truncate torn index line: %w", err)
+		}
+		s.torn = -1
+	}
 	if _, err := s.idx.Write(append(line, '\n')); err != nil {
 		return fmt.Errorf("runstore: append index: %w", err)
 	}
@@ -329,8 +289,8 @@ func (s *Store) appendLocked(e IndexEntry) error {
 }
 
 // EntryFromArtifact builds the compact index view of one artifact:
-// identity hashes, headline sim figures, per-section fingerprints, the
-// host-cost summary, and embedded bench figures. Seq/RunID/IngestedAt
+// identity hashes, headline sim figures, per-section fingerprints and
+// the host-cost summary. Seq/RunID/IngestedAt
 // are filled by Ingest.
 func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 	e := IndexEntry{
@@ -365,9 +325,6 @@ func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 			"actual_speedup":        p.ActualSpeedup,
 			"efficiency":            p.Efficiency,
 		}
-	}
-	if a.Bench != nil {
-		e.Bench = benchFigures(a.Bench)
 	}
 	return e
 }

@@ -93,8 +93,8 @@ func TestReopenContinuesSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("reopened store has %d entries, want 2", s2.Len())
+	if n := len(s2.Entries()); n != 2 {
+		t.Fatalf("reopened store has %d entries, want 2", n)
 	}
 	e, err := s2.Ingest(testArtifact(4))
 	if err != nil {
@@ -131,30 +131,26 @@ func TestIdenticalRunsShareConfigDir(t *testing.T) {
 	if err != nil || len(files) != 2 {
 		t.Fatalf("config dir holds %d documents (%v), want 2", len(files), err)
 	}
-	if got := s.ByConfig(e1.ConfigHash); len(got) != 2 {
-		t.Fatalf("ByConfig returned %d entries, want 2", len(got))
-	}
 }
 
-func TestIngestBench(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	e, err := s.IngestBench(testBench())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEntryFromBench: a BENCH document indexes as its own "bench"
+// lineage, keyed by the machine identity, with one ns/op figure per
+// benchmark — the entries `hh-trend -bench` trends.
+func TestEntryFromBench(t *testing.T) {
+	e := EntryFromBench(testBench())
 	if e.Kind != "bench" || e.GroupKey() != "bench" {
 		t.Fatalf("bench entry = %+v", e)
 	}
 	if e.Bench["BenchmarkCampaignShort ns/op"] != 1.5e9 {
 		t.Fatalf("bench figures not indexed: %v", e.Bench)
 	}
-	if _, err := s.Load(e.RunID); err == nil {
-		t.Fatal("Load must refuse a bench document")
+	other := testBench()
+	other.CPU = "othercpu"
+	if EntryFromBench(other).ConfigHash == e.ConfigHash {
+		t.Error("a different machine shares the bench config hash")
+	}
+	if len(e.ConfigHash) != 16 || len(e.ContentHash) != 16 {
+		t.Errorf("hashes %q/%q, want 16 hex characters", e.ConfigHash, e.ContentHash)
 	}
 }
 
